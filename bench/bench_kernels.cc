@@ -1,15 +1,22 @@
 /**
  * @file
  * Hot-path micro-benchmark: A/B of the reference (naive scalar) vs tiled
- * matmul kernels at super-network shapes, steady-state allocations per
- * training step, and the SimCache hit rate on a repeat-heavy evaluation
- * stream. Emits machine-readable JSON (BENCH_kernels.json) so perf
- * regressions are diffable across commits; registered as a ctest smoke
- * with a tiny iteration count.
+ * matmul kernels at super-network shapes, the tiled kernels run inline
+ * vs split across threads (common::parallelFor), steady-state
+ * allocations per training step, and the SimCache hit rate on a
+ * repeat-heavy evaluation stream. Emits machine-readable JSON
+ * (BENCH_kernels.json, with the host's nproc) so perf regressions are
+ * diffable across commits; registered as a ctest smoke with a tiny
+ * iteration count.
  *
  * Reported metrics:
  *  - GFLOP/s per masked kernel (matmul / transA / transB), reference vs
- *    tiled, at the DLRM supernet's bottom-MLP shape;
+ *    tiled, at the DLRM supernet's bottom-MLP shape, both on one thread;
+ *  - GFLOP/s per tiled kernel inline (called from a one-worker
+ *    exec::ThreadPool task, where kernels never split) vs parallel
+ *    (called from the main thread), at the perf model's two layer
+ *    shapes (256 x 87 x 128, 256 x 128 x 128) and the supernet shape.
+ *    The bench exits non-zero unless both outputs are bitwise equal;
  *  - tensor allocations on the first (warm-up) supernet-style training
  *    step vs a steady-state step (target: 0);
  *  - tensor allocations per steady-state DlrmSupernet::evaluateBatch
@@ -19,6 +26,7 @@
  */
 
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -27,7 +35,9 @@
 #include "arch/dlrm_arch.h"
 #include "bench_util.h"
 #include "common/flags.h"
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "exec/thread_pool.h"
 #include "nn/mlp.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
@@ -81,6 +91,70 @@ gflops(size_t iters, double flops_per_call, Fn &&fn)
     return flops_per_call * double(iters) / sec / 1e9;
 }
 
+/** One tiled kernel at one shape, inline vs split across threads. */
+struct ParallelScore
+{
+    std::string shape;
+    std::string kernel;
+    double inlineGflops = 0.0;
+    double parallelGflops = 0.0;
+    bool bitwiseEqual = false;
+    double speedup() const
+    {
+        return inlineGflops > 0.0 ? parallelGflops / inlineGflops : 0.0;
+    }
+};
+
+bool
+sameBits(const nn::Tensor &x, const nn::Tensor &y)
+{
+    return x.size() == y.size() &&
+           std::memcmp(x.data().data(), y.data().data(),
+                       x.size() * sizeof(float)) == 0;
+}
+
+/**
+ * Score the three tiled kernels at (m x k x n). The inline side runs in
+ * a task on `inline_pool` (one worker: pool workers never split), the
+ * parallel side on the calling thread. Each output is computed once
+ * per side from the same zeroed start and compared bit for bit.
+ */
+void
+scoreParallel(const std::string &shape, size_t m, size_t k, size_t n,
+              size_t iters, exec::ThreadPool &inline_pool, common::Rng &rng,
+              std::vector<ParallelScore> &out)
+{
+    nn::Tensor a = randomTensor(m, k, rng);
+    nn::Tensor b = randomTensor(k, n, rng);
+    nn::Tensor g = randomTensor(m, n, rng);
+    double flops = 2.0 * double(m) * double(k) * double(n);
+    auto on_pool = [&](auto &&fn) { inline_pool.submit(fn).get(); };
+
+    auto score = [&](const char *kernel, nn::Tensor &c, auto &&call) {
+        ParallelScore s{shape, kernel};
+        nn::Tensor inline_out, parallel_out;
+        on_pool([&] {
+            c.zero();
+            call();
+            inline_out = c;
+            s.inlineGflops = gflops(iters, flops, call);
+        });
+        c.zero();
+        call();
+        parallel_out = c;
+        s.parallelGflops = gflops(iters, flops, call);
+        s.bitwiseEqual = sameBits(inline_out, parallel_out);
+        out.push_back(s);
+    };
+    nn::Tensor c(m, n), cw(k, n), cx(m, k);
+    score("matmul_masked", c,
+          [&] { nn::tiled::matmulMasked(a, b, c, k, n); });
+    score("matmul_transa_masked", cw,
+          [&] { nn::tiled::matmulTransAMasked(a, g, cw, k, n); });
+    score("matmul_transb_masked", cx,
+          [&] { nn::tiled::matmulTransBMasked(g, b, cx, n, k); });
+}
+
 } // namespace
 
 int
@@ -110,28 +184,46 @@ main(int argc, char **argv)
     nn::Tensor bt = randomTensor(k, n, rng); // used transposed: C = A * B^T
     nn::Tensor c(m, n), ct(k, n), cb(m, k);
 
+    // Both sides of the reference/tiled A/B run on one thread, inside a
+    // one-worker pool task.
+    exec::ThreadPool inline_pool(1);
     double mm_flops = 2.0 * double(m) * double(k) * double(n);
     KernelScore matmul, transa, transb;
-    matmul.referenceGflops = gflops(iters, mm_flops, [&] {
-        nn::reference::matmulMasked(a, b, c, k, n);
-    });
-    matmul.tiledGflops = gflops(iters, mm_flops, [&] {
-        nn::tiled::matmulMasked(a, b, c, k, n);
-    });
-    ct.zero();
-    transa.referenceGflops = gflops(iters, mm_flops, [&] {
-        nn::reference::matmulTransAMasked(a, c, ct, k, n);
-    });
-    ct.zero();
-    transa.tiledGflops = gflops(iters, mm_flops, [&] {
-        nn::tiled::matmulTransAMasked(a, c, ct, k, n);
-    });
-    transb.referenceGflops = gflops(iters, mm_flops, [&] {
-        nn::reference::matmulTransBMasked(c, bt, cb, n, k);
-    });
-    transb.tiledGflops = gflops(iters, mm_flops, [&] {
-        nn::tiled::matmulTransBMasked(c, bt, cb, n, k);
-    });
+    inline_pool.submit([&] {
+        matmul.referenceGflops = gflops(iters, mm_flops, [&] {
+            nn::reference::matmulMasked(a, b, c, k, n);
+        });
+        matmul.tiledGflops = gflops(iters, mm_flops, [&] {
+            nn::tiled::matmulMasked(a, b, c, k, n);
+        });
+        ct.zero();
+        transa.referenceGflops = gflops(iters, mm_flops, [&] {
+            nn::reference::matmulTransAMasked(a, c, ct, k, n);
+        });
+        ct.zero();
+        transa.tiledGflops = gflops(iters, mm_flops, [&] {
+            nn::tiled::matmulTransAMasked(a, c, ct, k, n);
+        });
+        transb.referenceGflops = gflops(iters, mm_flops, [&] {
+            nn::reference::matmulTransBMasked(c, bt, cb, n, k);
+        });
+        transb.tiledGflops = gflops(iters, mm_flops, [&] {
+            nn::tiled::matmulTransBMasked(c, bt, cb, n, k);
+        });
+    }).get();
+
+    // --- Inline vs parallel tiled kernels: the perf model's layer
+    // shapes (batch 256, 87 encoded features, hidden width 128) and the
+    // supernet shape above.
+    std::vector<ParallelScore> parallel;
+    scoreParallel("perfmodel_l1", 256, 87, 128, iters, inline_pool, rng,
+                  parallel);
+    scoreParallel("perfmodel_l2", 256, 128, 128, iters, inline_pool, rng,
+                  parallel);
+    scoreParallel("supernet", m, k, n, iters, inline_pool, rng, parallel);
+    bool all_equal = true;
+    for (const ParallelScore &s : parallel)
+        all_equal = all_equal && s.bitwiseEqual;
 
     // --- Allocations per training step: an MLP forward/backward at the
     // same shapes, first step (buffers grown) vs steady state (reused).
@@ -223,6 +315,15 @@ main(int argc, char **argv)
     line("matmulMasked", matmul);
     line("matmulTransAMasked", transa);
     line("matmulTransBMasked", transb);
+    // nproc: the CPUs in this process's affinity mask, as nproc(1)
+    // counts them — the width parallelFor splits to.
+    std::cout << "tiled inline vs parallel (nproc "
+              << common::parallelWidth() << "), GFLOP/s:\n";
+    for (const ParallelScore &s : parallel)
+        std::cout << "  " << s.shape << " " << s.kernel << ": inline "
+                  << s.inlineGflops << ", parallel " << s.parallelGflops
+                  << " (" << s.speedup() << "x)"
+                  << (s.bitwiseEqual ? "" : " OUTPUTS DIFFER") << "\n";
     std::cout << "allocs/step: first " << first_step_allocs
               << ", steady-state " << steady_allocs << "\n";
     std::cout << "zero-fills/step: first " << first_step_zero_fills
@@ -242,6 +343,7 @@ main(int argc, char **argv)
         return 1;
     }
     js << "{\n"
+       << "  \"nproc\": " << common::parallelWidth() << ",\n"
        << "  \"shape\": {\"m\": " << m << ", \"k\": " << k << ", \"n\": "
        << n << "},\n"
        << "  \"iters\": " << iters << ",\n"
@@ -256,6 +358,17 @@ main(int argc, char **argv)
        << transb.referenceGflops << ", \"tiled\": " << transb.tiledGflops
        << ", \"speedup\": " << transb.speedup() << "}\n"
        << "  },\n"
+       << "  \"inline_vs_parallel\": [\n";
+    for (size_t i = 0; i < parallel.size(); ++i) {
+        const ParallelScore &s = parallel[i];
+        js << "    {\"shape\": \"" << s.shape << "\", \"kernel\": \""
+           << s.kernel << "\", \"inline_gflops\": " << s.inlineGflops
+           << ", \"parallel_gflops\": " << s.parallelGflops
+           << ", \"speedup\": " << s.speedup() << ", \"bitwise_equal\": "
+           << (s.bitwiseEqual ? "true" : "false") << "}"
+           << (i + 1 < parallel.size() ? "," : "") << "\n";
+    }
+    js << "  ],\n"
        << "  \"allocs_per_step\": {\"first\": " << first_step_allocs
        << ", \"steady\": " << steady_allocs << "},\n"
        << "  \"zero_fills_per_step\": {\"first\": " << first_step_zero_fills
@@ -269,6 +382,7 @@ main(int argc, char **argv)
        << "}\n";
     std::cout << "wrote " << json_path << "\n";
     // The batched eval path's zero-alloc contract is load-bearing for
-    // the quality stage's throughput — fail the smoke when it breaks.
-    return eval_steady_allocs == 0 ? 0 : 1;
+    // the quality stage's throughput, and a split kernel must match its
+    // inline run bit for bit — fail the smoke when either breaks.
+    return eval_steady_allocs == 0 && all_equal ? 0 : 1;
 }

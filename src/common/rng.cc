@@ -19,7 +19,7 @@ splitmix64(uint64_t &state)
 Rng::Rng(uint64_t seed) : _seed(seed), _engine(seed) {}
 
 Rng
-Rng::fork(uint64_t salt)
+Rng::fork(uint64_t salt) const
 {
     uint64_t state = _seed ^ (0x9e3779b97f4a7c15ULL * (salt + 1));
     // Two splitmix rounds decorrelate even adjacent salts.

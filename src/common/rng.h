@@ -31,11 +31,13 @@ class Rng
     explicit Rng(uint64_t seed = 0x5eed5eedULL);
 
     /**
-     * Derive an independent child stream.
+     * Derive an independent child stream. Reads only the seed: the
+     * child does not depend on how many draws the parent has made, and
+     * concurrent forks of one stream are safe.
      *
      * @param salt Distinguishes siblings forked from the same parent state.
      */
-    Rng fork(uint64_t salt);
+    Rng fork(uint64_t salt) const;
 
     /** Uniform double in [0, 1). */
     double uniform();

@@ -252,6 +252,18 @@ RemotePool::localDaemonAlive(Slot &slot)
     return true;
 }
 
+void
+RemotePool::reforkLocalDaemon(Slot &slot)
+{
+    if (slot.daemonPid > 0) {
+        ::kill(slot.daemonPid, SIGKILL);
+        ::waitpid(slot.daemonPid, nullptr, 0);
+    }
+    LocalDaemon daemon = spawnLocalWorkerDaemon();
+    slot.daemonPid = daemon.pid;
+    slot.port = daemon.port;
+}
+
 bool
 RemotePool::connectSlot(size_t index, bool initial)
 {
@@ -354,12 +366,17 @@ RemotePool::respawnDead()
             continue;
         // A fork-local slot whose daemon died needs a whole new daemon
         // (fresh listener, fresh port) before reconnecting.
-        if (slot.endpoint.forkLocal && !localDaemonAlive(slot)) {
-            LocalDaemon daemon = spawnLocalWorkerDaemon();
-            slot.daemonPid = daemon.pid;
-            slot.port = daemon.port;
+        if (slot.endpoint.forkLocal && !localDaemonAlive(slot))
+            reforkLocalDaemon(slot);
+        bool connected = connectSlot(i, /*initial=*/false);
+        if (!connected && slot.endpoint.forkLocal) {
+            // A daemon SIGKILLed a moment ago can still be dying: the
+            // WNOHANG poll above counts it alive, yet it no longer
+            // accepts. Finish it off, reap it, and re-fork once more.
+            reforkLocalDaemon(slot);
+            connected = connectSlot(i, /*initial=*/false);
         }
-        if (connectSlot(i, /*initial=*/false))
+        if (connected)
             ++slot.stats.respawns;
         // else: endpoint still unreachable; the slot stays dead and its
         // shards keep retrying (degrading on attempt exhaustion).

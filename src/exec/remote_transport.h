@@ -135,6 +135,10 @@ class RemotePool final : public ShardTransport
      *  (reaps it when it exited). */
     bool localDaemonAlive(Slot &slot);
 
+    /** Kill and reap the fork-local daemon of `slot` (if any), then
+     *  fork a fresh one on a fresh port. */
+    void reforkLocalDaemon(Slot &slot);
+
     /** Connect + handshake one slot. `initial` failures are fatal;
      *  later ones return false (slot stays dead). */
     bool connectSlot(size_t slot, bool initial);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 
 namespace h2o::exec {
 
@@ -45,6 +46,9 @@ ThreadPool::submit(std::function<void()> task)
 void
 ThreadPool::workerLoop()
 {
+    // Pool workers already fill the CPUs: kernels called from a task run
+    // inline rather than fork-joining onto the shared helper threads.
+    common::markPoolWorkerThread();
     for (;;) {
         std::packaged_task<void()> task;
         {

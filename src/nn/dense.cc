@@ -3,10 +3,18 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "nn/ops.h"
 
 namespace h2o::nn {
+
+namespace {
+
+/** Bias-gradient parts start on a 64-byte line of floats. */
+constexpr size_t kBiasColumnAlign = 16;
+
+} // namespace
 
 DenseLayer::DenseLayer(size_t in, size_t out, Activation act,
                        common::Rng &rng)
@@ -32,6 +40,18 @@ DenseLayer::forward(const Tensor &input)
     return _output;
 }
 
+void
+DenseLayer::infer(const Tensor &input, Tensor &out) const
+{
+    h2o_assert(input.cols() == _in, "DenseLayer input width ", input.cols(),
+               " != ", _in);
+    // forward()'s kernels with the activation applied in place.
+    out.resizeUninitialized(input.rows(), _out);
+    matmul(input, _w, out);
+    addBias(out, _b, _out);
+    activateTensor(_act, out, out);
+}
+
 const Tensor &
 DenseLayer::backward(const Tensor &grad_out)
 {
@@ -45,14 +65,20 @@ DenseLayer::backward(const Tensor &grad_out)
 
     // dW += X^T dpre ; db += col-sums of dpre ; dX = dpre W^T
     matmulTransAMasked(*_input, _dpre, _wGrad, _in, _out);
+    // Column sums split by column: each column still adds its rows in
+    // ascending order, so the split is bitwise equal to one pass.
     const float *dp = _dpre.data().data();
     float *bg = _bGrad.data().data();
-    for (size_t r = 0; r < _dpre.rows(); ++r) {
-        const float *row = dp + r * _out;
+    const size_t rows = _dpre.rows();
+    common::parallelFor(_out, kBiasColumnAlign, rows * _out,
+                        [&](size_t c0, size_t c1) {
+                            for (size_t r = 0; r < rows; ++r) {
+                                const float *row = dp + r * _out;
 #pragma omp simd
-        for (size_t c = 0; c < _out; ++c)
-            bg[c] += row[c];
-    }
+                                for (size_t c = c0; c < c1; ++c)
+                                    bg[c] += row[c];
+                            }
+                        });
 
     if (!_needInputGrad) {
         // First-layer fast path: nothing consumes dX, skip its matmul.

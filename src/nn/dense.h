@@ -31,6 +31,13 @@ class DenseLayer : public Layer
 
     const Tensor &forward(const Tensor &input) override;
     const Tensor &backward(const Tensor &grad_out) override;
+
+    /**
+     * Inference forward into the caller-owned `out` (reshaped here).
+     * Writes no layer state, so any number of threads may call it at
+     * once; values are bitwise equal to forward()'s.
+     */
+    void infer(const Tensor &input, Tensor &out) const;
     std::vector<ParamRef> params() override;
     size_t activeParamCount() const override;
     std::string describe() const override;
@@ -43,9 +50,11 @@ class DenseLayer : public Layer
 
     /** Weight matrix (in x out). */
     Tensor &weights() { return _w; }
+    const Tensor &weights() const { return _w; }
 
     /** Bias vector. */
     Tensor &bias() { return _b; }
+    const Tensor &bias() const { return _b; }
 
     /**
      * When disabled, backward() skips the dX = dpre W^T matmul and

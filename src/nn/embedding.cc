@@ -10,10 +10,21 @@ namespace h2o::nn {
 
 EmbeddingTable::EmbeddingTable(size_t vocab, size_t max_width,
                                common::Rng &rng)
+    : EmbeddingTable(vocab, max_width)
+{
+    initWeights(rng);
+}
+
+EmbeddingTable::EmbeddingTable(size_t vocab, size_t max_width)
     : _vocab(vocab), _maxWidth(max_width), _activeWidth(max_width),
       _table(vocab, max_width), _grad(vocab, max_width)
 {
     h2o_assert(vocab > 0 && max_width > 0, "EmbeddingTable with zero dims");
+}
+
+void
+EmbeddingTable::initWeights(common::Rng &rng)
+{
     // Embedding init: small gaussian, as in typical DLRM training.
     _table.gaussianInit(rng, 0.05f);
 }

@@ -46,6 +46,13 @@ class EmbeddingTable
      */
     EmbeddingTable(size_t vocab, size_t max_width, common::Rng &rng);
 
+    /** Allocate zeroed storage only; initWeights() fills it. Lets one
+     *  thread size many tables and others fill them. */
+    EmbeddingTable(size_t vocab, size_t max_width);
+
+    /** The rng constructor's fill: small-gaussian table values. */
+    void initWeights(common::Rng &rng);
+
     /** Select the active embedding width. @pre 0 < width <= maxWidth. */
     void setActiveWidth(size_t width);
 

@@ -11,6 +11,13 @@ namespace h2o::nn {
 LowRankDenseLayer::LowRankDenseLayer(size_t max_in, size_t max_rank,
                                      size_t max_out, Activation act,
                                      common::Rng &rng)
+    : LowRankDenseLayer(max_in, max_rank, max_out, act)
+{
+    initWeights(rng);
+}
+
+LowRankDenseLayer::LowRankDenseLayer(size_t max_in, size_t max_rank,
+                                     size_t max_out, Activation act)
     : _maxIn(max_in), _maxRank(max_rank), _maxOut(max_out),
       _activeIn(max_in), _activeRank(max_rank), _activeOut(max_out),
       _act(act), _u(max_in, max_rank), _v(max_rank, max_out),
@@ -19,8 +26,13 @@ LowRankDenseLayer::LowRankDenseLayer(size_t max_in, size_t max_rank,
 {
     h2o_assert(max_in > 0 && max_rank > 0 && max_out > 0,
                "LowRankDense with zero max dims");
-    _u.heInit(rng, max_in);
-    _v.heInit(rng, max_rank);
+}
+
+void
+LowRankDenseLayer::initWeights(common::Rng &rng)
+{
+    _u.heInit(rng, _maxIn);
+    _v.heInit(rng, _maxRank);
 }
 
 void

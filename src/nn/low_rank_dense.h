@@ -28,6 +28,13 @@ class LowRankDenseLayer : public Layer
     LowRankDenseLayer(size_t max_in, size_t max_rank, size_t max_out,
                       Activation act, common::Rng &rng);
 
+    /** Allocate zeroed parameters only; initWeights() fills them. */
+    LowRankDenseLayer(size_t max_in, size_t max_rank, size_t max_out,
+                      Activation act);
+
+    /** The rng constructor's fill: He-normal U then V, zero bias. */
+    void initWeights(common::Rng &rng);
+
     /**
      * Select the active sub-network.
      * @pre dims positive and within the max bounds.

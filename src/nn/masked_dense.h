@@ -32,6 +32,12 @@ class MaskedDenseLayer : public Layer
     MaskedDenseLayer(size_t max_in, size_t max_out, Activation act,
                      common::Rng &rng);
 
+    /** Allocate zeroed parameters only; initWeights() fills them. */
+    MaskedDenseLayer(size_t max_in, size_t max_out, Activation act);
+
+    /** The rng constructor's fill: He-normal weights, zero bias. */
+    void initWeights(common::Rng &rng);
+
     /**
      * Select the active sub-network dimensions.
      * @pre 0 < in <= max_in and 0 < out <= max_out.

@@ -28,6 +28,18 @@ Mlp::forward(const Tensor &input)
 }
 
 const Tensor &
+Mlp::infer(const Tensor &input, std::array<Tensor, 2> &scratch) const
+{
+    const Tensor *x = &input;
+    for (size_t l = 0; l < _layers.size(); ++l) {
+        Tensor &out = scratch[l % 2];
+        _layers[l]->infer(*x, out);
+        x = &out;
+    }
+    return *x;
+}
+
+const Tensor &
 Mlp::backward(const Tensor &grad_out)
 {
     h2o_assert(_lastOutput, "backward before forward");

@@ -11,6 +11,7 @@
 #ifndef H2O_NN_MLP_H
 #define H2O_NN_MLP_H
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -42,6 +43,16 @@ class Mlp
      */
     const Tensor &forward(const Tensor &input);
 
+    /**
+     * Inference forward over a [batch, in] tensor through two
+     * caller-owned ping-pong buffers; returns a reference to one of
+     * them. Writes no network state, so concurrent calls with distinct
+     * scratch are safe. Outputs are bitwise equal to forward()'s (same
+     * kernels, same order).
+     */
+    const Tensor &infer(const Tensor &input,
+                        std::array<Tensor, 2> &scratch) const;
+
     /** Backward pass; returns the gradient w.r.t. the input — a
      *  reference to the first layer's buffer, valid until the next
      *  backward. */
@@ -58,6 +69,7 @@ class Mlp
 
     /** Access a layer (for tests / inspection). */
     DenseLayer &layer(size_t i) { return *_layers.at(i); }
+    const DenseLayer &layer(size_t i) const { return *_layers.at(i); }
 
     /**
      * Enable/disable the input-gradient matmul of the FIRST layer. When

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 
 namespace h2o::nn {
 
@@ -289,6 +290,12 @@ matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t n_act,
 // per output element. That is the determinism contract: bit-identical
 // repeats for the tiled impl, ~1e-5 agreement vs the reference impl
 // (whose summation order differs).
+//
+// The three masked matmuls fork-join over output row tiles
+// (common::parallelFor with align = kRowTile). A part boundary is always
+// a tile boundary, so every row sits in the same tile — and runs the
+// same micro-kernel — as in one serial pass: results are bitwise equal
+// at any core count.
 // ---------------------------------------------------------------------------
 
 namespace tiled {
@@ -356,7 +363,11 @@ matmulMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
              size_t n_act, bool accumulate)
 {
     checkMatmulMasked(a, b, c, k_act, n_act);
-    matmulMaskedRows(a, b, c, 0, a.rows(), k_act, n_act, accumulate);
+    common::parallelFor(a.rows(), kRowTile, a.rows() * k_act * n_act,
+                        [&](size_t i0, size_t i1) {
+                            matmulMaskedRows(a, b, c, i0, i1 - i0, k_act,
+                                             n_act, accumulate);
+                        });
 }
 
 void
@@ -441,11 +452,13 @@ embeddingScatterAdd(const Tensor &grad_out, std::span<const uint32_t> rows,
     }
 }
 
+namespace {
+
+/** matmulTransAMasked over the output rows [k_begin, k_end) of C. */
 void
-matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
-                   size_t n_act)
+matmulTransAMaskedRows(const Tensor &a, const Tensor &b, Tensor &c,
+                       size_t k_begin, size_t k_end, size_t n_act)
 {
-    checkMatmulTransAMasked(a, b, c, k_act, n_act);
     size_t m = a.rows();
     const float *ad = a.data().data();
     const float *bd = b.data().data();
@@ -455,8 +468,8 @@ matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
     // C[k, j] += sum_i A[i, k] * B[i, j]; block (k, j) output tiles and
     // stream the batch dimension i through each tile, i ascending — the
     // same per-element order as the reference kernel.
-    for (size_t k0 = 0; k0 < k_act; k0 += kRowTile) {
-        size_t kt = std::min(kRowTile, k_act - k0);
+    for (size_t k0 = k_begin; k0 < k_end; k0 += kRowTile) {
+        size_t kt = std::min(kRowTile, k_end - k0);
         for (size_t j0 = 0; j0 < n_act; j0 += kColTile) {
             size_t jt = std::min(kColTile, n_act - j0);
             float acc[kRowTile][kColTile];
@@ -485,12 +498,27 @@ matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
     }
 }
 
+} // namespace
+
 void
-matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t n_act,
-                   size_t k_act, bool accumulate)
+matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
+                   size_t n_act)
 {
-    checkMatmulTransBMasked(a, b, c, n_act, k_act);
-    size_t m = a.rows();
+    checkMatmulTransAMasked(a, b, c, k_act, n_act);
+    common::parallelFor(k_act, kRowTile, a.rows() * k_act * n_act,
+                        [&](size_t k0, size_t k1) {
+                            matmulTransAMaskedRows(a, b, c, k0, k1, n_act);
+                        });
+}
+
+namespace {
+
+/** matmulTransBMasked over the rows [i_begin, i_end) of A and C. */
+void
+matmulTransBMaskedRows(const Tensor &a, const Tensor &b, Tensor &c,
+                       size_t i_begin, size_t i_end, size_t n_act,
+                       size_t k_act, bool accumulate)
+{
     const float *ad = a.data().data();
     const float *bd = b.data().data();
     float *cd = c.data().data();
@@ -499,8 +527,11 @@ matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t n_act,
     // C[i, k] = dot(A row i, B row k): process kRowTile A-rows per pass so
     // each B row is loaded once per pass, with independent simd
     // reductions per dot product (fixed contraction order per element).
-    for (size_t i0 = 0; i0 < m; i0 += kRowTile) {
-        size_t rt = std::min(kRowTile, m - i0);
+    // Full tiles and remainder rows are separately vectorized
+    // reductions, so a range starts on a tile boundary: each row then
+    // runs the same code as in one serial pass.
+    for (size_t i0 = i_begin; i0 < i_end; i0 += kRowTile) {
+        size_t rt = std::min(kRowTile, i_end - i0);
         if (rt == kRowTile) {
             const float *a0 = ad + (i0 + 0) * na;
             const float *a1 = ad + (i0 + 1) * na;
@@ -548,6 +579,20 @@ matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t n_act,
             }
         }
     }
+}
+
+} // namespace
+
+void
+matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t n_act,
+                   size_t k_act, bool accumulate)
+{
+    checkMatmulTransBMasked(a, b, c, n_act, k_act);
+    common::parallelFor(a.rows(), kRowTile, a.rows() * n_act * k_act,
+                        [&](size_t i0, size_t i1) {
+                            matmulTransBMaskedRows(a, b, c, i0, i1, n_act,
+                                                   k_act, accumulate);
+                        });
 }
 
 } // namespace tiled

@@ -12,8 +12,10 @@
  *    `omp simd` vectorization hints. The blocking schedule is fixed at
  *    compile time and never depends on runtime state, so results are
  *    deterministic run-to-run and bit-identical at any `--threads`
- *    setting (kernels are single-threaded; parallelism lives in
- *    `h2o::exec`, whose ordered aggregation preserves FP order).
+ *    setting and core count. The three masked matmuls split their
+ *    output rows across CPUs (common::parallelFor) only on row-tile
+ *    boundaries, so a split never changes a value; called from an
+ *    exec::ThreadPool worker they run inline.
  *  - `Reference`: the original scalar loops, kept for A/B testing and as
  *    the correctness oracle in `tests/test_nn_kernels.cc`.
  *

@@ -45,6 +45,10 @@ class Optimizer
 
   protected:
     std::vector<ParamRef> _params;
+    /** Element offset of each parameter with all parameters laid end to
+     *  end, plus the total at the back: the index space a step splits
+     *  across CPUs. */
+    std::vector<size_t> _offsets;
     double _lr = 1e-3;
 };
 
@@ -60,6 +64,7 @@ class SgdOptimizer : public Optimizer
   private:
     double _momentum;
     double _weightDecay;
+    /** One buffer per parameter; empty when momentum is 0 (never read). */
     std::vector<Tensor> _velocity;
 };
 

@@ -126,9 +126,11 @@ PerfModel::rawLogPredictionBatch(
             x.at(i, j) = static_cast<float>(features[i][j]);
     }
     _featureNorm.transform(x);
-    // forward() mutates layer caches; the model is logically const for
-    // prediction. One packed forward serves both heads for every row.
-    const nn::Tensor &pred = const_cast<nn::Mlp &>(*_mlp).forward(x);
+    // One packed inference forward serves both heads for every row. It
+    // writes only this call's scratch, so predictions may run
+    // concurrently.
+    std::array<nn::Tensor, 2> scratch;
+    const nn::Tensor &pred = _mlp->infer(x, scratch);
     for (size_t i = 0; i < n; ++i)
         for (size_t h = 0; h < 2; ++h)
             out[i][h] = _targetNorm.inverse(pred.at(i, h), h);
@@ -226,7 +228,7 @@ PerfModel::save(std::ostream &os) const
     common::writeTagged(os, "target_mean", _targetNorm.means());
     common::writeTagged(os, "target_std", _targetNorm.stddevs());
     for (size_t l = 0; l < _mlp->numLayers(); ++l) {
-        auto &layer = const_cast<nn::Mlp &>(*_mlp).layer(l);
+        const nn::DenseLayer &layer = _mlp->layer(l);
         common::writeTagged(os, "w" + std::to_string(l),
                             tensorToVector(layer.weights()));
         common::writeTagged(os, "b" + std::to_string(l),

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/serialize.h"
 #include "nn/loss.h"
 #include "nn/ops.h"
@@ -12,6 +14,10 @@
 namespace h2o::supernet {
 
 namespace {
+
+/** parallelFor work units per randomly initialized weight: a gaussian
+ *  draw costs tens of multiply-adds. */
+constexpr size_t kFillWorkPerElement = 32;
 
 /** Cap a width at the supernet scale-down limit, keeping it positive. */
 uint32_t
@@ -27,6 +33,18 @@ DlrmSupernet::DlrmSupernet(const searchspace::DlrmSearchSpace &space,
     : _space(space), _config(config)
 {
     const auto &baseline = space.baseline();
+
+    // Every bank's tensors are allocated here, on the calling thread;
+    // the random fills are queued and run in parallel at the end. Each
+    // fill draws from its own rng.fork(salt), which reads only the
+    // seed, so the fill order cannot change a value.
+    struct WeightFill
+    {
+        uint64_t salt;
+        size_t elements;
+        std::function<void(common::Rng &)> fill;
+    };
+    std::vector<WeightFill> fills;
 
     // --- Embedding banks: coarse-grained per vocab choice (2), each
     // table fine-grained over width (1).
@@ -45,9 +63,13 @@ DlrmSupernet::DlrmSupernet(const searchspace::DlrmSearchSpace &space,
             uint64_t vocab = static_cast<uint64_t>(std::max(
                 16.0,
                 std::round(static_cast<double>(capped_base) * scale)));
-            common::Rng table_rng = rng.fork((t << 8) | c);
-            bank.byVocabChoice.push_back(std::make_unique<nn::EmbeddingTable>(
-                vocab, bank.maxWidth, table_rng));
+            auto table =
+                std::make_unique<nn::EmbeddingTable>(vocab, bank.maxWidth);
+            fills.push_back({(t << 8) | c, vocab * bank.maxWidth,
+                             [p = table.get()](common::Rng &r) {
+                                 p->initWeights(r);
+                             }});
+            bank.byVocabChoice.push_back(std::move(table));
         }
     }
 
@@ -76,12 +98,20 @@ DlrmSupernet::DlrmSupernet(const searchspace::DlrmSearchSpace &space,
             uint32_t out =
                 capWidth(space.maxMlpWidth(is_bottom, l), _config.mlpWidthCap);
             LayerBank bank;
-            common::Rng full_rng = rng.fork(0x1000 + (is_bottom ? 0 : 512) + l);
             bank.full = std::make_unique<nn::MaskedDenseLayer>(
-                prev, out, nn::Activation::ReLU, full_rng);
-            common::Rng lr_rng = rng.fork(0x2000 + (is_bottom ? 0 : 512) + l);
+                prev, out, nn::Activation::ReLU);
+            fills.push_back({0x1000 + (is_bottom ? 0 : 512) + l,
+                             size_t(prev) * out,
+                             [p = bank.full.get()](common::Rng &r) {
+                                 p->initWeights(r);
+                             }});
             bank.lowRank = std::make_unique<nn::LowRankDenseLayer>(
-                prev, out, out, nn::Activation::ReLU, lr_rng);
+                prev, out, out, nn::Activation::ReLU);
+            fills.push_back({0x2000 + (is_bottom ? 0 : 512) + l,
+                             (size_t(prev) + out) * out,
+                             [p = bank.lowRank.get()](common::Rng &r) {
+                                 p->initWeights(r);
+                             }});
             stack.push_back(std::move(bank));
             prev = out;
         }
@@ -94,9 +124,22 @@ DlrmSupernet::DlrmSupernet(const searchspace::DlrmSearchSpace &space,
     uint32_t logit_in = baseline.numDenseFeatures;
     for (const auto &bank : _top)
         logit_in = std::max<uint32_t>(logit_in, bank.full->maxOut());
-    common::Rng logit_rng = rng.fork(0x3000);
     _logit = std::make_unique<nn::MaskedDenseLayer>(
-        logit_in, 1, nn::Activation::Identity, logit_rng);
+        logit_in, 1, nn::Activation::Identity);
+    fills.push_back({0x3000, logit_in, [p = _logit.get()](common::Rng &r) {
+                         p->initWeights(r);
+                     }});
+
+    size_t fill_elements = 0;
+    for (const WeightFill &f : fills)
+        fill_elements += f.elements;
+    common::parallelFor(fills.size(), 1, fill_elements * kFillWorkPerElement,
+                        [&](size_t begin, size_t end) {
+                            for (size_t i = begin; i < end; ++i) {
+                                common::Rng r = rng.fork(fills[i].salt);
+                                fills[i].fill(r);
+                            }
+                        });
 
     // --- Optimizer over every shared parameter. SGD without momentum:
     // sub-networks not touched by a step receive zero gradient and stay

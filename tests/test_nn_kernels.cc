@@ -2,7 +2,8 @@
  * @file
  * A/B tests for the tiled matmul kernels against the reference scalar
  * kernels, plus the determinism contract: tiled results are bitwise
- * reproducible run-to-run and bit-identical across exec thread counts.
+ * reproducible run-to-run, bit-identical across exec thread counts, and
+ * bit-identical whether a kernel splits across CPUs or runs inline.
  */
 
 #include <cmath>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "exec/shard_runner.h"
 #include "exec/thread_pool.h"
@@ -195,10 +197,10 @@ TEST(NnKernels, DispatcherSelectsImplementation)
               nn::KernelImpl::Reference);
 }
 
-// The cross-thread contract: kernels are single-threaded and parallelism
-// lives in h2o::exec, whose OrderedSection serializes shared-state
-// updates in shard-index order. A sharded compute + ordered-aggregate
-// step must therefore produce bit-identical results at any pool width.
+// The cross-thread contract: kernels called from pool workers run inline,
+// and h2o::exec's OrderedSection serializes shared-state updates in
+// shard-index order. A sharded compute + ordered-aggregate step must
+// therefore produce bit-identical results at any pool width.
 TEST(NnKernels, TiledBitIdenticalAcross1_2_8ExecThreads)
 {
     constexpr size_t kShards = 8;
@@ -232,6 +234,88 @@ TEST(NnKernels, TiledBitIdenticalAcross1_2_8ExecThreads)
     nn::Tensor t8 = run_with_threads(8);
     expectBitIdentical(t1, t2);
     expectBitIdentical(t1, t8);
+}
+
+// ------------------------------------------ intra-op parallel kernels
+
+namespace {
+
+/** Run fn as a task of a one-worker pool. Pool workers never split a
+ *  kernel, so this is the inline run of the same call. */
+template <typename Fn>
+void
+runInline(Fn &&fn)
+{
+    exec::ThreadPool pool(1);
+    pool.submit(std::forward<Fn>(fn)).get();
+}
+
+/** A kernel call on fresh copies of `init`: inline in a pool task vs
+ *  split on this thread; both outputs, whole tensors, must match. */
+template <typename Call>
+void
+expectSplitMatchesInline(const nn::Tensor &init, Call &&call)
+{
+    nn::Tensor inline_out = init;
+    nn::Tensor split_out = init;
+    runInline([&] { call(inline_out); });
+    call(split_out);
+    expectBitIdentical(inline_out, split_out);
+}
+
+} // namespace
+
+// The intra-op contract: the three masked matmuls split their output
+// rows only on register-tile boundaries, so every element is computed
+// by the same micro-kernel in the same order as in one serial pass. The
+// shapes are off the 4-row and 64-column tiles, the masked widths sit
+// below the tensor dimensions (untouched elements must stay untouched),
+// and both accumulate modes run on random prior contents.
+TEST(NnKernels, ParallelSplitBitIdenticalToInline)
+{
+    struct Case
+    {
+        size_t m, kDim, nDim, kAct, nAct;
+    };
+    const Case cases[] = {
+        {257, 90, 131, 87, 129}, // perf-model layer 1, odd batch
+        {256, 128, 128, 128, 128},
+        {130, 67, 70, 66, 65},
+        {6, 130, 140, 129, 127}, // two row tiles, ragged last
+        {1023, 33, 200, 31, 199},
+    };
+    common::Rng rng(4242);
+    const size_t splits_before = common::parallelSplitCount();
+    for (const Case &c : cases) {
+        SCOPED_TRACE("m=" + std::to_string(c.m) + " k_act=" +
+                     std::to_string(c.kAct) + " n_act=" +
+                     std::to_string(c.nAct));
+        nn::Tensor a = randomTensor(c.m, c.kDim, rng, 0.1);
+        nn::Tensor b = randomTensor(c.kDim, c.nDim, rng);
+        nn::Tensor g = randomTensor(c.m, c.nDim, rng);
+        nn::Tensor bt = randomTensor(c.kDim, c.nDim, rng);
+        for (bool accumulate : {false, true}) {
+            expectSplitMatchesInline(
+                randomTensor(c.m, c.nDim, rng), [&](nn::Tensor &out) {
+                    nn::tiled::matmulMasked(a, b, out, c.kAct, c.nAct,
+                                            accumulate);
+                });
+            expectSplitMatchesInline(
+                randomTensor(c.m, c.kDim, rng), [&](nn::Tensor &out) {
+                    nn::tiled::matmulTransBMasked(g, bt, out, c.nAct,
+                                                  c.kAct, accumulate);
+                });
+        }
+        // C[k, j] += sum_i A[i, k] B[i, j] always accumulates.
+        expectSplitMatchesInline(
+            randomTensor(c.kDim, c.nDim, rng), [&](nn::Tensor &out) {
+                nn::tiled::matmulTransAMasked(a, g, out, c.kAct, c.nAct);
+            });
+    }
+    if (common::parallelWidth() > 1) {
+        EXPECT_GT(common::parallelSplitCount(), splits_before)
+            << "no kernel call split: the test compared inline to inline";
+    }
 }
 
 // ----------------------------------------------- grouped-mask kernels

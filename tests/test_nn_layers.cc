@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "exec/thread_pool.h"
 #include "nn/dense.h"
 #include "nn/embedding.h"
 #include "nn/loss.h"
@@ -411,6 +415,57 @@ TEST(Optimizer, ZeroGradLeavesWeightsWithSgd)
     EXPECT_FLOAT_EQ(w[0], 3.0f);
 }
 
+// Golden bits of three SGD steps (lr 0.07, weight decay 0.01) on fixed
+// inputs, as computed before the optimizer dropped the unused
+// momentum-0 velocity buffers and split its update across CPUs: both
+// momentum settings must reproduce them exactly.
+TEST(Optimizer, SgdStepsMatchGoldenBits)
+{
+    const uint32_t golden_w[2][15] = {
+        {0xbf854192, 0xbf3bbb51, 0xbea6c233, 0xbc93288c, 0x3ec781e5,
+         0x3f3288c8, 0x3f8d717f, 0x3fc1a332, 0x3fe90284, 0x400e9a1c,
+         0x402249c5, 0x403c62a0, 0x40501249, 0x407090e0, 0x4082216b},
+        {0xbf734568, 0xbf48a8f2, 0xbe8340ba, 0xbdb81f30, 0x3ee0095d,
+         0x3f1aa126, 0x3f90d4dd, 0x3fbe78f2, 0x3fe9a762, 0x400ba5bc,
+         0x40213cf4, 0x40380f00, 0x404da638, 0x4075d066, 0x40803bc2}};
+    const uint32_t golden_b[2][5] = {
+        {0xbdc5be97, 0xbce38461, 0x3d27f8ce, 0x3de0d9e6, 0x3e36dbb3},
+        {0xbe1cb7ff, 0xbd8b19aa, 0x3c8cf2ae, 0x3dd19302, 0x3e3ff4ab}};
+    const double momenta[2] = {0.0, 0.9};
+    for (size_t case_idx = 0; case_idx < 2; ++case_idx) {
+        nn::Tensor w(3, 5), b(std::vector<size_t>{5});
+        nn::Tensor gw(3, 5), gb(std::vector<size_t>{5});
+        for (size_t i = 0; i < w.size(); ++i)
+            w[i] = 0.37f * float(i) - 1.1f;
+        for (size_t i = 0; i < b.size(); ++i)
+            b[i] = 0.05f * float(i);
+        nn::resetTensorAllocCount();
+        nn::SgdOptimizer opt({{&w, &gw}, {&b, &gb}}, 0.07,
+                             momenta[case_idx], 0.01);
+        // Velocity buffers exist only when momentum reads them.
+        EXPECT_EQ(nn::tensorAllocCount(), case_idx == 0 ? 0u : 2u);
+        for (size_t step = 0; step < 3; ++step) {
+            for (size_t i = 0; i < gw.size(); ++i)
+                gw[i] = 0.11f * float((i * 7 + step * 3) % 13) - 0.6f;
+            for (size_t i = 0; i < gb.size(); ++i)
+                gb[i] = 0.23f * float(step + 1) - 0.09f * float(i);
+            opt.step();
+        }
+        for (size_t i = 0; i < w.size(); ++i) {
+            uint32_t bits;
+            std::memcpy(&bits, &w[i], sizeof(bits));
+            EXPECT_EQ(bits, golden_w[case_idx][i])
+                << "momentum " << momenta[case_idx] << " w[" << i << "]";
+        }
+        for (size_t i = 0; i < b.size(); ++i) {
+            uint32_t bits;
+            std::memcpy(&bits, &b[i], sizeof(bits));
+            EXPECT_EQ(bits, golden_b[case_idx][i])
+                << "momentum " << momenta[case_idx] << " b[" << i << "]";
+        }
+    }
+}
+
 TEST(Optimizer, AdamConvergesOnQuadratic)
 {
     // Minimize (w - 3)^2 by feeding grad = 2(w - 3).
@@ -459,6 +514,67 @@ TEST(Mlp, LearnsXor)
         last = loss.value;
     }
     EXPECT_LT(last, 0.01);
+}
+
+// The const inference forward uses forward()'s kernels in the same
+// order, so its outputs are bitwise equal; it leaves the layers' own
+// buffers alone.
+TEST(Mlp, InferBitwiseEqualsForward)
+{
+    Rng rng(43);
+    nn::Mlp mlp({9, 33, 17, 2}, nn::Activation::ReLU,
+                nn::Activation::Identity, rng);
+    nn::Tensor x(21, 9);
+    for (size_t i = 0; i < x.size(); ++i)
+        x[i] = static_cast<float>(rng.normal());
+    nn::Tensor expected = mlp.forward(x);
+    std::array<nn::Tensor, 2> scratch;
+    const nn::Tensor &got = mlp.infer(x, scratch);
+    ASSERT_EQ(got.shape(), expected.shape());
+    EXPECT_EQ(0, std::memcmp(got.data().data(), expected.data().data(),
+                             got.size() * sizeof(float)));
+}
+
+// Training splits the kernels, the bias-gradient column sums and the
+// Adam update across CPUs; every split is on an element or tile
+// boundary, so the weights after several steps match a run whose every
+// call stayed inline (inside a pool task) bit for bit.
+TEST(Mlp, ParallelTrainingBitIdenticalToInline)
+{
+    auto train = [] {
+        Rng rng(44);
+        nn::Mlp mlp({87, 256, 256, 2}, nn::Activation::ReLU,
+                    nn::Activation::Identity, rng);
+        nn::AdamOptimizer opt(mlp.params(), 1e-3);
+        nn::Tensor x(256, 87), y(256, 2);
+        for (size_t i = 0; i < x.size(); ++i)
+            x[i] = static_cast<float>(rng.normal());
+        for (size_t i = 0; i < y.size(); ++i)
+            y[i] = static_cast<float>(rng.normal());
+        for (int step = 0; step < 4; ++step) {
+            auto loss = nn::mseLoss(mlp.forward(x), y);
+            mlp.backward(loss.grad);
+            opt.step();
+        }
+        std::vector<float> weights;
+        for (const nn::ParamRef &p : mlp.params())
+            weights.insert(weights.end(), p.value->data().begin(),
+                           p.value->data().end());
+        return weights;
+    };
+    std::vector<float> inline_weights;
+    {
+        h2o::exec::ThreadPool pool(1);
+        pool.submit([&] { inline_weights = train(); }).get();
+    }
+    const size_t splits_before = h2o::common::parallelSplitCount();
+    std::vector<float> split_weights = train();
+    if (h2o::common::parallelWidth() > 1) {
+        EXPECT_GT(h2o::common::parallelSplitCount(), splits_before);
+    }
+    ASSERT_EQ(inline_weights.size(), split_weights.size());
+    EXPECT_EQ(0, std::memcmp(inline_weights.data(), split_weights.data(),
+                             inline_weights.size() * sizeof(float)));
 }
 
 TEST(Mlp, ParamCount)

@@ -3,15 +3,25 @@
  * Unit tests for the two-phase hybrid performance model: feature
  * encoders, the dual-head MLP regressor, polynomial calibration, the
  * hardware oracle, and the Table-1 dynamic (pre-trained model is
- * systematically wrong on "hardware"; fine-tuning fixes it).
+ * systematically wrong on "hardware"; fine-tuning fixes it). Also the
+ * threading contracts: training is bit-identical whether its kernels
+ * split across CPUs or run inline (in a pool task or a forked worker),
+ * and predict()/predictBatch() are safe to call from many threads.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <sstream>
+#include <thread>
 
 #include "arch/dlrm_arch.h"
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "exec/proc_transport.h"
+#include "exec/thread_pool.h"
 #include "perfmodel/features.h"
 #include "perfmodel/hardware_oracle.h"
 #include "perfmodel/perf_model.h"
@@ -21,9 +31,63 @@
 namespace pm = h2o::perfmodel;
 namespace ss = h2o::searchspace;
 namespace arch = h2o::arch;
+namespace ex = h2o::exec;
 using h2o::common::Rng;
 
 namespace {
+
+/** Synthetic design matrix at the perf model's real feature width. */
+struct DesignMatrix
+{
+    std::vector<std::vector<double>> features;
+    std::vector<std::array<double, 2>> targets;
+};
+
+DesignMatrix
+syntheticDesign(size_t rows, size_t dim, uint64_t seed)
+{
+    Rng rng(seed);
+    DesignMatrix d;
+    for (size_t i = 0; i < rows; ++i) {
+        std::vector<double> f(dim);
+        double s = 0.0;
+        for (size_t j = 0; j < dim; ++j) {
+            f[j] = rng.uniform(-1.0, 1.0);
+            s += f[j] * double(j % 5) * 0.05;
+        }
+        d.features.push_back(std::move(f));
+        d.targets.push_back({std::exp(s), std::exp(0.5 * s + 1.0)});
+    }
+    return d;
+}
+
+pm::PerfModelConfig
+smallConfig()
+{
+    pm::PerfModelConfig cfg;
+    cfg.hiddenWidth = 128;
+    cfg.epochs = 3;
+    return cfg;
+}
+
+/** save() bytes of a small perf model trained on the calling thread. */
+std::string
+trainedModelBytes()
+{
+    DesignMatrix d = syntheticDesign(1024, 87, 17);
+    Rng rng(18);
+    pm::PerfModel model(87, smallConfig(), rng);
+    model.train(d.features, d.targets, rng);
+    std::ostringstream os;
+    model.save(os);
+    return os.str();
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
 
 arch::DlrmArch
 smallDlrm()
@@ -170,6 +234,84 @@ TEST(PerfModel, CalibrationShiftsPredictions)
     EXPECT_NEAR(model.predict({1.0}).trainStepTimeSec, 2.0 * raw, 1e-9);
     model.clearCalibration();
     EXPECT_NEAR(model.predict({1.0}).trainStepTimeSec, raw, 1e-9);
+}
+
+// Training on the main thread splits kernels across CPUs; in a pool task
+// every call runs inline. The checkpoints must be the same bytes.
+TEST(PerfModel, TrainedBytesSameInlineAndSplit)
+{
+    std::string inline_bytes;
+    {
+        ex::ThreadPool pool(1);
+        pool.submit([&] { inline_bytes = trainedModelBytes(); }).get();
+    }
+    const size_t splits_before = h2o::common::parallelSplitCount();
+    std::string split_bytes = trainedModelBytes();
+    if (h2o::common::parallelWidth() > 1) {
+        EXPECT_GT(h2o::common::parallelSplitCount(), splits_before);
+    }
+    EXPECT_EQ(inline_bytes, split_bytes);
+}
+
+// A forked ProcPool worker never uses the parent's helper threads (fork
+// copies only the calling thread): it trains inline, returns the same
+// bytes, and does not hang waiting on helpers that are not there.
+TEST(PerfModel, ForkedWorkerTrainsInlineAfterParentSplit)
+{
+    ex::ProcTaskRegistration task(
+        "test/perfmodel_train",
+        [](uint64_t, uint64_t, const std::string &) {
+            return trainedModelBytes();
+        });
+    const size_t splits_before = h2o::common::parallelSplitCount();
+    std::string parent_bytes = trainedModelBytes(); // starts the helpers
+    if (h2o::common::parallelWidth() > 1) {
+        ASSERT_GT(h2o::common::parallelSplitCount(), splits_before);
+    }
+    ex::ProcPool pool(1);
+    auto reply = pool.call(0, "test/perfmodel_train", 0, 0, "");
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(*reply, parent_bytes);
+}
+
+// predict() and predictBatch() are const and write only per-call
+// scratch: four threads hammering one trained model must each get the
+// serial results, bit for bit.
+TEST(PerfModel, ConcurrentPredictionsMatchSerial)
+{
+    DesignMatrix d = syntheticDesign(512, 87, 19);
+    Rng rng(20);
+    pm::PerfModel model(87, smallConfig(), rng);
+    model.train(d.features, d.targets, rng);
+    std::vector<std::vector<double>> rows(d.features.begin(),
+                                          d.features.begin() + 64);
+    std::vector<pm::PerfPrediction> serial_one;
+    for (const auto &row : rows)
+        serial_one.push_back(model.predict(row));
+    std::vector<pm::PerfPrediction> serial_batch = model.predictBatch(rows);
+
+    auto same = [](const pm::PerfPrediction &a, const pm::PerfPrediction &b) {
+        return sameBits(a.trainStepTimeSec, b.trainStepTimeSec) &&
+               sameBits(a.servingTimeSec, b.servingTimeSec);
+    };
+    std::atomic<size_t> mismatches{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (size_t iter = 0; iter < 40; ++iter) {
+                size_t i = (t * 17 + iter) % rows.size();
+                if (!same(model.predict(rows[i]), serial_one[i]))
+                    ++mismatches;
+                auto batch = model.predictBatch(rows);
+                for (size_t j = 0; j < rows.size(); ++j)
+                    if (!same(batch[j], serial_batch[j]))
+                        ++mismatches;
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST(PerfModel, PredictBeforeTrainPanics)

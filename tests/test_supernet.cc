@@ -2,12 +2,17 @@
  * @file
  * Unit tests for the DLRM weight-sharing super-network: configuration,
  * forward/backward shapes, the hybrid sharing invariants (fine-grained
- * width masks, coarse-grained vocab isolation), and real training.
+ * width masks, coarse-grained vocab isolation), real training, and
+ * construction that fills its banks in parallel without changing a bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "exec/thread_pool.h"
 #include "pipeline/traffic_generator.h"
 #include "searchspace/dlrm_space.h"
 #include "supernet/dlrm_supernet.h"
@@ -62,6 +67,40 @@ struct Fixture
 };
 
 } // namespace
+
+// The constructor sizes every bank on the calling thread, then fills the
+// banks across CPUs, each from its own rng.fork(salt). Built inside a
+// pool task, every fill runs inline in bank order: the checkpoints must
+// be the same bytes.
+TEST(Supernet, ParallelConstructionBitIdenticalToInline)
+{
+    arch::DlrmArch a;
+    a.numDenseFeatures = 8;
+    a.tables = {{65536, 24, 1.0}, {16384, 16, 1.0}, {4096, 16, 1.0},
+                {1024, 8, 2.0}};
+    a.bottomMlp = {{64, 0}, {32, 0}};
+    a.topMlp = {{128, 0}, {64, 0}};
+    a.globalBatch = 4096;
+    ss::DlrmSearchSpace space(a);
+    auto build_bytes = [&] {
+        Rng rng(9);
+        sn::DlrmSupernet net(space, sn::SupernetConfig{256, 64}, rng);
+        std::ostringstream os;
+        net.save(os);
+        return os.str();
+    };
+    std::string inline_bytes;
+    {
+        h2o::exec::ThreadPool pool(1);
+        pool.submit([&] { inline_bytes = build_bytes(); }).get();
+    }
+    const size_t splits_before = h2o::common::parallelSplitCount();
+    std::string split_bytes = build_bytes();
+    if (h2o::common::parallelWidth() > 1) {
+        EXPECT_GT(h2o::common::parallelSplitCount(), splits_before);
+    }
+    EXPECT_EQ(inline_bytes, split_bytes);
+}
 
 TEST(Supernet, ForwardShapesMatchBatch)
 {
