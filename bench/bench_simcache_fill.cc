@@ -16,11 +16,13 @@
  *  - the miss computation saw each distinct key exactly once (the
  *    dedupe guarantee), regardless of chunking or pool size.
  *
- * Emits BENCH_simcache_fill.json and exits non-zero on any mismatch,
- * so the ctest smoke doubles as an end-to-end determinism check. On a
- * single-core host the speedup column is expected to hover around 1x
- * (or below: pool hand-off without parallel hardware); the checks are
- * the point there, the speedup is meaningful on multi-core hosts.
+ * Emits BENCH_simcache_fill.json (with the host's nproc) and exits
+ * non-zero on any mismatch, so the ctest smoke doubles as an end-to-end
+ * determinism check. On a single-core host the speedup column is
+ * expected to hover around 1x (or below: pool hand-off without parallel
+ * hardware); the checks are the point there, the speedup is meaningful
+ * on multi-core hosts. The committed report at the repository root
+ * comes from `./build/bench/bench_simcache_fill` run there.
  */
 
 #include <atomic>
@@ -34,6 +36,7 @@
 #include "arch/dlrm_arch.h"
 #include "bench_util.h"
 #include "common/flags.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "searchspace/dlrm_space.h"
@@ -46,7 +49,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** Bitwise equality over every SimResult field, perOp included. */
+/** Bitwise equality over every SimResult field. Cached results carry
+ *  no per-op timings, so the perOp comparison only checks both empty. */
 bool
 identicalResult(const sim::SimResult &a, const sim::SimResult &b)
 {
@@ -134,7 +138,7 @@ main(int argc, char **argv)
     {
         size_t operator()(const sim::SimCacheKey &k) const
         {
-            return static_cast<size_t>(sim::simCacheKeyHash(k));
+            return static_cast<size_t>(k.hash());
         }
     };
     size_t n_unique =
@@ -235,8 +239,10 @@ main(int argc, char **argv)
         return 1;
     }
     js << "{\n"
+       << "  \"nproc\": " << common::parallelWidth() << ",\n"
        << "  \"distinct\": " << n_distinct << ",\n"
        << "  \"dup\": " << dup << ",\n"
+       << "  \"chunk\": " << fill_chunk << ",\n"
        << "  \"unique_keys\": " << n_unique << ",\n"
        << "  \"runs\": [\n";
     for (size_t i = 0; i < runs.size(); ++i) {

@@ -7,6 +7,13 @@
  * (with a shared cache) OTHER TENANTS' searches over the same space —
  * skip decode, lowering, the compiler passes and the DAG walk entirely.
  *
+ * The SimConfig fingerprint covers the chip, not how many chips a graph
+ * was lowered for, so a platform whose chip count differs from its
+ * mode's default platform (hw::trainingPlatform / hw::servingPlatform)
+ * appends the count as one more trailing key word: one chip at 1 and at
+ * 4 chips never share an entry, while default-count keys keep their
+ * historical form and saved caches stay warm.
+ *
  * Grew up in bench/bench_util.h; promoted here so the NAS job server
  * (h2o::serve) can hang many jobs' timers off one shared SimCache.
  */
@@ -14,6 +21,7 @@
 #ifndef H2O_EVAL_DLRM_TIMER_H
 #define H2O_EVAL_DLRM_TIMER_H
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <span>
@@ -63,6 +71,7 @@ class CachedDlrmTimer
           _cache(_owned.get()), _trainTag(key_salt << 1),
           _serveTag((key_salt << 1) | 1)
     {
+        initKeys();
         makeFillPool(fill_threads);
     }
 
@@ -81,6 +90,7 @@ class CachedDlrmTimer
           _cache(&shared), _trainTag(key_salt << 1),
           _serveTag((key_salt << 1) | 1)
     {
+        initKeys();
         makeFillPool(fill_threads);
     }
 
@@ -88,8 +98,8 @@ class CachedDlrmTimer
     double trainStepTime(const searchspace::DlrmSearchSpace &space,
                          const searchspace::Sample &sample)
     {
-        sim::SimCacheKey key =
-            sim::makeSimCacheKey(sample, _trainTag, _trainConfig);
+        sim::SimCacheKey key = sim::makeSimCacheKey(
+            sample, _trainKey.tags, _trainKey.fingerprint);
         return _cache
             ->getOrCompute(key,
                            [&] {
@@ -105,8 +115,8 @@ class CachedDlrmTimer
     double serveStepTime(const searchspace::DlrmSearchSpace &space,
                          const searchspace::Sample &sample)
     {
-        sim::SimCacheKey key =
-            sim::makeSimCacheKey(sample, _serveTag, _serveConfig);
+        sim::SimCacheKey key = sim::makeSimCacheKey(
+            sample, _serveKey.tags, _serveKey.fingerprint);
         return _cache
             ->getOrCompute(key,
                            [&] {
@@ -133,7 +143,7 @@ class CachedDlrmTimer
     trainStepTimes(const searchspace::DlrmSearchSpace &space,
                    std::span<const searchspace::Sample> samples)
     {
-        return stepTimes(space, samples, _trainTag, _trainConfig, _train,
+        return stepTimes(space, samples, _trainKey, _trainConfig, _train,
                          arch::ExecMode::Training);
     }
 
@@ -142,7 +152,7 @@ class CachedDlrmTimer
     serveStepTimes(const searchspace::DlrmSearchSpace &space,
                    std::span<const searchspace::Sample> samples)
     {
-        return stepTimes(space, samples, _serveTag, _serveConfig, _serve,
+        return stepTimes(space, samples, _serveKey, _serveConfig, _serve,
                          arch::ExecMode::Serving);
     }
 
@@ -154,9 +164,12 @@ class CachedDlrmTimer
      * target's SimConfig fingerprint keeping the k keyspaces disjoint —
      * and misses simulate through Simulator::runBatchMulti (one
      * PassWorkspace fetch per chunk, one simulator core per target).
-     * A one-element TargetSet whose platform equals the timer's serve
-     * platform issues exactly serveStepTimes' key sequence: identical
-     * hits, misses, LRU image and values.
+     * Each missed candidate is decoded once and lowered once per
+     * distinct chip count in its fill chunk (buildDlrmGraph reads only
+     * the platform's numChips), and all of its chips' requests share
+     * that graph. A one-element TargetSet whose platform equals the
+     * timer's serve platform issues exactly serveStepTimes' key
+     * sequence: identical hits, misses, LRU image and values.
      */
     std::vector<std::vector<double>>
     serveStepTimesMulti(const searchspace::DlrmSearchSpace &space,
@@ -166,36 +179,62 @@ class CachedDlrmTimer
         const size_t k = targets.size();
         h2o_assert(k > 0, "serveStepTimesMulti needs >= 1 target");
         std::vector<sim::SimConfig> configs;
+        std::vector<KeyForm> forms;
         configs.reserve(k);
-        for (const hw::Target &t : targets)
+        forms.reserve(k);
+        for (const hw::Target &t : targets) {
             configs.push_back(sim::SimConfig{t.platform.chip, true, true,
                                              {}});
+            forms.push_back(keyForm(_serveTag, configs.back(), t.platform,
+                                    arch::ExecMode::Serving));
+        }
         std::vector<sim::SimCacheKey> keys;
         keys.reserve(samples.size() * k);
         for (const auto &s : samples)
             for (size_t c = 0; c < k; ++c)
-                keys.push_back(sim::makeSimCacheKey(s, _serveTag,
-                                                    configs[c]));
+                keys.push_back(sim::makeSimCacheKey(s, forms[c].tags,
+                                                    forms[c].fingerprint));
         // As in stepTimes, the lambda touches only locals + const state
         // (configs/targets/samples), so fill-pool fan-out is safe.
         auto results = _cache->getOrComputeBatch(
             keys,
             [&](const std::vector<size_t> &misses) {
+                // Misses ascend, and keys are candidate-major, so one
+                // candidate's misses are adjacent: decode it once, lower
+                // once per chip count, point every chip at that graph.
                 std::vector<sim::Graph> graphs;
-                graphs.reserve(misses.size());
-                for (size_t pos : misses) {
-                    arch::DlrmArch serving =
-                        space.decode(samples[pos / k]);
-                    serving.globalBatch = 1024;
-                    graphs.push_back(arch::buildDlrmGraph(
-                        serving, targets[pos % k].platform,
-                        arch::ExecMode::Serving));
+                std::vector<size_t> graph_of(misses.size());
+                std::vector<std::pair<uint32_t, size_t>> lowered;
+                arch::DlrmArch serving;
+                size_t candidate = samples.size();
+                for (size_t j = 0; j < misses.size(); ++j) {
+                    const size_t i = misses[j] / k;
+                    const hw::Platform &platform =
+                        targets[misses[j] % k].platform;
+                    if (i != candidate) {
+                        candidate = i;
+                        lowered.clear();
+                        serving = space.decode(samples[i]);
+                        serving.globalBatch = 1024;
+                    }
+                    auto it = std::find_if(
+                        lowered.begin(), lowered.end(), [&](const auto &e) {
+                            return e.first == platform.numChips;
+                        });
+                    if (it == lowered.end()) {
+                        lowered.emplace_back(platform.numChips,
+                                             graphs.size());
+                        graphs.push_back(arch::buildDlrmGraph(
+                            serving, platform, arch::ExecMode::Serving));
+                        it = lowered.end() - 1;
+                    }
+                    graph_of[j] = it->second;
                 }
                 std::vector<sim::SimRequest> reqs;
                 reqs.reserve(misses.size());
                 for (size_t j = 0; j < misses.size(); ++j)
                     reqs.push_back(
-                        sim::SimRequest{&graphs[j],
+                        sim::SimRequest{&graphs[graph_of[j]],
                                         &configs[misses[j] % k]});
                 return sim::Simulator::runBatchMulti(reqs);
             },
@@ -215,6 +254,36 @@ class CachedDlrmTimer
     sim::SimCache &cache() { return *_cache; }
 
   private:
+    /** The trailing key words and config fingerprint shared by every
+     *  key of one (mode, platform). */
+    struct KeyForm
+    {
+        std::vector<uint64_t> tags;
+        uint64_t fingerprint = 0;
+    };
+
+    /** The exec-mode tag, then the platform's chip count when it is not
+     *  the mode's default platform's (see the file comment). */
+    static KeyForm keyForm(uint64_t tag, const sim::SimConfig &config,
+                           const hw::Platform &platform, arch::ExecMode mode)
+    {
+        const uint32_t default_chips = mode == arch::ExecMode::Training
+                                           ? hw::trainingPlatform().numChips
+                                           : hw::servingPlatform().numChips;
+        KeyForm form{{tag}, sim::simConfigFingerprint(config)};
+        if (platform.numChips != default_chips)
+            form.tags.push_back(platform.numChips);
+        return form;
+    }
+
+    void initKeys()
+    {
+        _trainKey = keyForm(_trainTag, _trainConfig, _train,
+                            arch::ExecMode::Training);
+        _serveKey = keyForm(_serveTag, _serveConfig, _serve,
+                            arch::ExecMode::Serving);
+    }
+
     void makeFillPool(size_t fill_threads)
     {
         size_t resolved = exec::ThreadPool::resolve(
@@ -225,14 +294,15 @@ class CachedDlrmTimer
 
     std::vector<double>
     stepTimes(const searchspace::DlrmSearchSpace &space,
-              std::span<const searchspace::Sample> samples, uint64_t tag,
-              const sim::SimConfig &config, const hw::Platform &platform,
-              arch::ExecMode mode)
+              std::span<const searchspace::Sample> samples,
+              const KeyForm &form, const sim::SimConfig &config,
+              const hw::Platform &platform, arch::ExecMode mode)
     {
         std::vector<sim::SimCacheKey> keys;
         keys.reserve(samples.size());
         for (const auto &s : samples)
-            keys.push_back(sim::makeSimCacheKey(s, tag, config));
+            keys.push_back(
+                sim::makeSimCacheKey(s, form.tags, form.fingerprint));
         // The cache chunks the distinct misses (kDefaultFillChunk), so
         // at most one chunk's worth of decoded graphs is live per
         // worker, and fans the chunks out over _fillPool when present.
@@ -273,6 +343,8 @@ class CachedDlrmTimer
     sim::SimCache *_cache;
     uint64_t _trainTag;
     uint64_t _serveTag;
+    KeyForm _trainKey;
+    KeyForm _serveKey;
     /** Cold-path fill workers; null = compute misses inline. */
     std::unique_ptr<exec::ThreadPool> _fillPool;
 };

@@ -13,7 +13,8 @@
  * `OpAnnotations` array owned by the caller (in practice a thread_local
  * inside `Simulator::run`). The graph stays const; the workspace's
  * vectors are reused across runs, so steady-state simulation performs no
- * per-run heap allocation beyond `SimResult::perOp`.
+ * per-run heap allocation beyond `SimResult::perOp` (which SimCache
+ * frees before it stores a result).
  */
 
 #ifndef H2O_SIM_PASS_WORKSPACE_H

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -71,26 +72,48 @@ simConfigFingerprint(const SimConfig &config)
 }
 
 uint64_t
-simCacheKeyHash(const SimCacheKey &key)
+simCacheKeyHash(std::span<const uint64_t> decisions,
+                uint64_t config_fingerprint)
 {
-    uint64_t h = key.configFingerprint;
-    h = mixWord(h, key.decisions.size());
-    for (uint64_t d : key.decisions)
+    uint64_t h = config_fingerprint;
+    h = mixWord(h, decisions.size());
+    for (uint64_t d : decisions)
         h = mixWord(h, d);
     return h;
+}
+
+uint64_t
+simCacheKeyHash(const SimCacheKey &key)
+{
+    return simCacheKeyHash(key.decisions(), key.configFingerprint());
+}
+
+SimCacheKey::SimCacheKey(std::vector<uint64_t> decisions,
+                         uint64_t config_fingerprint)
+    : _hash(simCacheKeyHash(decisions, config_fingerprint)),
+      _configFingerprint(config_fingerprint),
+      _decisions(std::move(decisions))
+{
+}
+
+SimCacheKey
+makeSimCacheKey(std::span<const size_t> sample,
+                std::span<const uint64_t> tags, uint64_t config_fingerprint)
+{
+    std::vector<uint64_t> decisions;
+    decisions.reserve(sample.size() + tags.size());
+    for (size_t d : sample)
+        decisions.push_back(static_cast<uint64_t>(d));
+    decisions.insert(decisions.end(), tags.begin(), tags.end());
+    return SimCacheKey(std::move(decisions), config_fingerprint);
 }
 
 SimCacheKey
 makeSimCacheKey(const std::vector<size_t> &sample, uint64_t mode_tag,
                 const SimConfig &config)
 {
-    SimCacheKey key;
-    key.decisions.reserve(sample.size() + 1);
-    for (size_t d : sample)
-        key.decisions.push_back(static_cast<uint64_t>(d));
-    key.decisions.push_back(mode_tag);
-    key.configFingerprint = simConfigFingerprint(config);
-    return key;
+    return makeSimCacheKey(sample, std::span<const uint64_t>(&mode_tag, 1),
+                           simConfigFingerprint(config));
 }
 
 SimCache::SimCache(size_t capacity, size_t num_shards)
@@ -106,10 +129,40 @@ SimCache::SimCache(size_t capacity, size_t num_shards)
         _shards.push_back(std::make_unique<Shard>());
 }
 
-SimCache::Shard &
-SimCache::shardFor(const SimCacheKey &key)
+bool
+SimCache::findLocked(Shard &shard, const SimCacheKey &key, SimResult &out)
 {
-    return *_shards[simCacheKeyHash(key) % _shards.size()];
+    auto it = shard.index.find(&key);
+    if (it == shard.index.end())
+        return false;
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    it->second->tick = nextTick();
+    out = it->second->value;
+    return true;
+}
+
+bool
+SimCache::insertLocked(Shard &shard, const SimCacheKey &key,
+                       SimResult value)
+{
+    dropPerOp(value);
+    auto it = shard.index.find(&key);
+    if (it != shard.index.end()) {
+        // Concurrent miss raced us here; results are identical (the
+        // simulator is pure), keep the freshest and refresh LRU.
+        it->second->value = std::move(value);
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        it->second->tick = nextTick();
+        return false;
+    }
+    shard.lru.push_front(Entry{key, std::move(value), nextTick()});
+    shard.index.emplace(&shard.lru.front().key, shard.lru.begin());
+    if (shard.index.size() <= _shardCapacity)
+        return false;
+    // The index entry points into the node: erase it first.
+    shard.index.erase(&shard.lru.back().key);
+    shard.lru.pop_back();
+    return true;
 }
 
 bool
@@ -117,16 +170,9 @@ SimCache::lookup(const SimCacheKey &key, SimResult &out)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-        _misses.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    it->second->tick = nextTick();
-    out = it->second->value;
-    _hits.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    bool hit = findLocked(shard, key, out);
+    (hit ? _hits : _misses).fetch_add(1, std::memory_order_relaxed);
+    return hit;
 }
 
 void
@@ -134,23 +180,47 @@ SimCache::insert(const SimCacheKey &key, SimResult value)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-        // Concurrent miss raced us here; results are identical (the
-        // simulator is pure), keep the freshest and refresh LRU.
-        it->second->value = std::move(value);
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        it->second->tick = nextTick();
-        return;
-    }
-    shard.lru.push_front(Entry{key, std::move(value), nextTick()});
-    shard.index.emplace(key, shard.lru.begin());
-    if (shard.index.size() > _shardCapacity) {
-        shard.index.erase(shard.lru.back().key);
-        shard.lru.pop_back();
+    if (insertLocked(shard, key, std::move(value)))
         _evictions.fetch_add(1, std::memory_order_relaxed);
-    }
 }
+
+namespace {
+
+/**
+ * Visits batch items 0..n-1 grouped by stripe in one counting-sort
+ * pass: `visit(stripe, items)` once per stripe touched, stripes in order
+ * of their first item, items ascending within a stripe. The order fixes
+ * the recency ticks, so LRU order and save() images depend on the batch
+ * alone.
+ */
+template <typename StripeOf, typename Visit>
+void
+forEachStripeGroup(size_t n, size_t n_stripes, StripeOf &&stripe_of,
+                   Visit &&visit)
+{
+    std::vector<size_t> stripe(n);
+    std::vector<size_t> count(n_stripes, 0);
+    std::vector<size_t> order; // stripes by first appearance
+    for (size_t i = 0; i < n; ++i) {
+        stripe[i] = stripe_of(i);
+        if (count[stripe[i]]++ == 0)
+            order.push_back(stripe[i]);
+    }
+    std::vector<size_t> start(n_stripes, 0);
+    size_t at = 0;
+    for (size_t s : order) {
+        start[s] = at;
+        at += count[s];
+    }
+    std::vector<size_t> items(n);
+    std::vector<size_t> cursor = start;
+    for (size_t i = 0; i < n; ++i)
+        items[cursor[stripe[i]]++] = i;
+    for (size_t s : order)
+        visit(s, std::span<const size_t>(items.data() + start[s], count[s]));
+}
+
+} // namespace
 
 std::vector<char>
 SimCache::lookupBatch(std::span<const SimCacheKey> keys,
@@ -160,87 +230,56 @@ SimCache::lookupBatch(std::span<const SimCacheKey> keys,
     if (out.size() < n)
         out.resize(n);
     std::vector<char> hit(n, 0);
-
-    // Group key positions by stripe, then visit each stripe under one
-    // lock. Ascending batch position within a stripe keeps the LRU
-    // refresh order deterministic.
-    std::vector<size_t> stripe_of(n);
-    for (size_t i = 0; i < n; ++i)
-        stripe_of[i] = simCacheKeyHash(keys[i]) % _shards.size();
-
-    uint64_t hits = 0, misses = 0;
-    std::vector<char> stripe_seen(_shards.size(), 0);
-    for (size_t i = 0; i < n; ++i) {
-        size_t s = stripe_of[i];
-        if (stripe_seen[s])
-            continue;
-        stripe_seen[s] = 1;
-        Shard &shard = *_shards[s];
-        std::lock_guard<std::mutex> lock(shard.mu);
-        for (size_t j = i; j < n; ++j) {
-            if (stripe_of[j] != s)
-                continue;
-            auto it = shard.index.find(keys[j]);
-            if (it == shard.index.end()) {
-                ++misses;
-                continue;
+    uint64_t hits = 0;
+    forEachStripeGroup(
+        n, _shards.size(),
+        [&](size_t i) { return keys[i].hash() % _shards.size(); },
+        [&](size_t s, std::span<const size_t> items) {
+            Shard &shard = *_shards[s];
+            std::lock_guard<std::mutex> lock(shard.mu);
+            for (size_t i : items) {
+                if (findLocked(shard, keys[i], out[i])) {
+                    hit[i] = 1;
+                    ++hits;
+                }
             }
-            shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-            it->second->tick = nextTick();
-            out[j] = it->second->value;
-            hit[j] = 1;
-            ++hits;
-        }
-    }
+        });
     if (hits)
         _hits.fetch_add(hits, std::memory_order_relaxed);
-    if (misses)
-        _misses.fetch_add(misses, std::memory_order_relaxed);
+    if (n > hits)
+        _misses.fetch_add(n - hits, std::memory_order_relaxed);
     return hit;
+}
+
+void
+SimCache::insertAt(std::span<const SimCacheKey> keys,
+                   std::span<const size_t> positions,
+                   std::span<const SimResult> values)
+{
+    h2o_assert(positions.size() == values.size(),
+               "insertBatch key/value count mismatch");
+    uint64_t evictions = 0;
+    forEachStripeGroup(
+        positions.size(), _shards.size(),
+        [&](size_t r) { return keys[positions[r]].hash() % _shards.size(); },
+        [&](size_t s, std::span<const size_t> items) {
+            Shard &shard = *_shards[s];
+            std::lock_guard<std::mutex> lock(shard.mu);
+            for (size_t r : items)
+                if (insertLocked(shard, keys[positions[r]], values[r]))
+                    ++evictions;
+        });
+    if (evictions)
+        _evictions.fetch_add(evictions, std::memory_order_relaxed);
 }
 
 void
 SimCache::insertBatch(std::span<const SimCacheKey> keys,
                       std::span<const SimResult> values)
 {
-    h2o_assert(keys.size() == values.size(),
-               "insertBatch key/value count mismatch");
-    size_t n = keys.size();
-    std::vector<size_t> stripe_of(n);
-    for (size_t i = 0; i < n; ++i)
-        stripe_of[i] = simCacheKeyHash(keys[i]) % _shards.size();
-
-    uint64_t evictions = 0;
-    std::vector<char> stripe_seen(_shards.size(), 0);
-    for (size_t i = 0; i < n; ++i) {
-        size_t s = stripe_of[i];
-        if (stripe_seen[s])
-            continue;
-        stripe_seen[s] = 1;
-        Shard &shard = *_shards[s];
-        std::lock_guard<std::mutex> lock(shard.mu);
-        for (size_t j = i; j < n; ++j) {
-            if (stripe_of[j] != s)
-                continue;
-            auto it = shard.index.find(keys[j]);
-            if (it != shard.index.end()) {
-                it->second->value = values[j];
-                shard.lru.splice(shard.lru.begin(), shard.lru,
-                                 it->second);
-                it->second->tick = nextTick();
-                continue;
-            }
-            shard.lru.push_front(Entry{keys[j], values[j], nextTick()});
-            shard.index.emplace(keys[j], shard.lru.begin());
-            if (shard.index.size() > _shardCapacity) {
-                shard.index.erase(shard.lru.back().key);
-                shard.lru.pop_back();
-                ++evictions;
-            }
-        }
-    }
-    if (evictions)
-        _evictions.fetch_add(evictions, std::memory_order_relaxed);
+    std::vector<size_t> positions(keys.size());
+    std::iota(positions.begin(), positions.end(), size_t{0});
+    insertAt(keys, positions, values);
 }
 
 SimCacheStats
@@ -289,18 +328,8 @@ writeResult(std::ostream &os, const SimResult &r)
                             static_cast<uint64_t>(r.liveOps),
                             static_cast<uint64_t>(r.fusedOps),
                             r.paramsResident ? 1ULL : 0ULL});
-    std::vector<double> per_op;
-    per_op.reserve(r.perOp.size() * 7);
-    for (const OpTiming &t : r.perOp) {
-        per_op.push_back(t.seconds);
-        per_op.push_back(t.tensorBusySec);
-        per_op.push_back(t.vpuBusySec);
-        per_op.push_back(t.hbmBytes);
-        per_op.push_back(t.onChipBytes);
-        per_op.push_back(t.networkBytes);
-        per_op.push_back(static_cast<double>(t.boundBy));
-    }
-    common::writeTagged(os, "res_per_op", per_op);
+    // Format v1 keeps its per-op record; cached results have none.
+    common::writeTagged(os, "res_per_op", {});
 }
 
 SimResult
@@ -336,22 +365,33 @@ readResult(std::istream &is)
     r.liveOps = static_cast<size_t>(meta[1]);
     r.fusedOps = static_cast<size_t>(meta[2]);
     r.paramsResident = meta[3] != 0;
+    // Streams written before the cache dropped per-op timings carry
+    // them (7 doubles per op): validated, then discarded.
     auto per_op = common::readTagged(is, "res_per_op");
     if (per_op.size() % 7 != 0)
         h2o_fatal("malformed sim-cache per-op record");
-    r.perOp.resize(per_op.size() / 7);
-    for (size_t i = 0; i < r.perOp.size(); ++i) {
-        OpTiming &t = r.perOp[i];
-        const double *p = per_op.data() + i * 7;
-        t.seconds = p[0];
-        t.tensorBusySec = p[1];
-        t.vpuBusySec = p[2];
-        t.hbmBytes = p[3];
-        t.onChipBytes = p[4];
-        t.networkBytes = p[5];
-        t.boundBy = static_cast<hw::BoundBy>(p[6]);
-    }
     return r;
+}
+
+SimCacheKey
+readKey(std::istream &is)
+{
+    auto key_words = common::readTaggedU64(is, "key");
+    if (key_words.empty())
+        h2o_fatal("malformed sim-cache key record");
+    return SimCacheKey(
+        std::vector<uint64_t>(key_words.begin() + 1, key_words.end()),
+        key_words[0]);
+}
+
+/** Reads a save() stream's header; returns its entry count. */
+size_t
+readHeader(std::istream &is)
+{
+    auto header = common::readTaggedU64(is, "sim_cache");
+    if (header.size() != 2 || header[0] != kSimCacheFormatVersion)
+        h2o_fatal("unsupported sim-cache stream header");
+    return static_cast<size_t>(header[1]);
 }
 
 } // namespace
@@ -383,11 +423,12 @@ SimCache::save(std::ostream &os) const
                            {kSimCacheFormatVersion,
                             static_cast<uint64_t>(entries.size())});
     for (const Entry *e : entries) {
+        const std::vector<uint64_t> &decisions = e->key.decisions();
         std::vector<uint64_t> key_words;
-        key_words.reserve(e->key.decisions.size() + 1);
-        key_words.push_back(e->key.configFingerprint);
-        key_words.insert(key_words.end(), e->key.decisions.begin(),
-                         e->key.decisions.end());
+        key_words.reserve(decisions.size() + 1);
+        key_words.push_back(e->key.configFingerprint());
+        key_words.insert(key_words.end(), decisions.begin(),
+                         decisions.end());
         common::writeTaggedU64(os, "key", key_words);
         writeResult(os, e->value);
     }
@@ -396,17 +437,9 @@ SimCache::save(std::ostream &os) const
 void
 SimCache::load(std::istream &is)
 {
-    auto header = common::readTaggedU64(is, "sim_cache");
-    if (header.size() != 2 || header[0] != kSimCacheFormatVersion)
-        h2o_fatal("unsupported sim-cache stream header");
-    size_t count = static_cast<size_t>(header[1]);
+    size_t count = readHeader(is);
     for (size_t i = 0; i < count; ++i) {
-        auto key_words = common::readTaggedU64(is, "key");
-        if (key_words.empty())
-            h2o_fatal("malformed sim-cache key record");
-        SimCacheKey key;
-        key.configFingerprint = key_words[0];
-        key.decisions.assign(key_words.begin() + 1, key_words.end());
+        SimCacheKey key = readKey(is);
         insert(key, readResult(is));
     }
 }
@@ -416,19 +449,11 @@ SimCache::mergeFrom(std::istream &is)
 {
     // Parse the incoming stream up front (save() wrote it globally
     // oldest-first; that relative order is preserved below).
-    auto header = common::readTaggedU64(is, "sim_cache");
-    if (header.size() != 2 || header[0] != kSimCacheFormatVersion)
-        h2o_fatal("unsupported sim-cache stream header");
-    size_t count = static_cast<size_t>(header[1]);
+    size_t count = readHeader(is);
     std::vector<std::pair<SimCacheKey, SimResult>> incoming;
     incoming.reserve(count);
     for (size_t i = 0; i < count; ++i) {
-        auto key_words = common::readTaggedU64(is, "key");
-        if (key_words.empty())
-            h2o_fatal("malformed sim-cache key record");
-        SimCacheKey key;
-        key.configFingerprint = key_words[0];
-        key.decisions.assign(key_words.begin() + 1, key_words.end());
+        SimCacheKey key = readKey(is);
         incoming.emplace_back(std::move(key), readResult(is));
     }
 
@@ -447,10 +472,11 @@ SimCache::mergeFrom(std::istream &is)
               [](const Entry &a, const Entry &b) {
                   return a.tick < b.tick;
               });
-    std::unordered_set<SimCacheKey, KeyHash> live_keys;
+    // Points into `live`, which is not resized from here on.
+    std::unordered_set<const SimCacheKey *, KeyPtrHash, KeyPtrEq> live_keys;
     live_keys.reserve(live.size());
     for (const Entry &e : live)
-        live_keys.insert(e.key);
+        live_keys.insert(&e.key);
 
     // Rebuild: stream-only entries first (they take the oldest recency
     // ranks), then the live entries oldest-to-newest, so LRU eviction
@@ -459,7 +485,7 @@ SimCache::mergeFrom(std::istream &is)
     // keeps the live value.
     clear();
     for (auto &[key, value] : incoming)
-        if (!live_keys.contains(key))
+        if (!live_keys.contains(&key))
             insert(key, std::move(value));
     for (Entry &e : live)
         insert(e.key, std::move(e.value));

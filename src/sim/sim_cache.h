@@ -9,7 +9,10 @@
  * baseline. HW-NAS-Bench-style cost lookup is the standard way to
  * amortize those repeats: SimCache maps a canonical key — the candidate's
  * decision encoding plus a fingerprint of the chip and pass configuration
- * — to the full SimResult.
+ * — to the result's scalar summary: every SimResult field except the
+ * per-op timings (`perOp` is dropped on the way in, so every result that
+ * comes out of the cache has an empty `perOp`). No cached caller reads
+ * per-op timings; callers that need them run `Simulator::run` directly.
  *
  * Concurrency: the table is sharded by key hash with one mutex per
  * shard (mutex striping), so concurrent evaluators from h2o::exec rarely
@@ -62,18 +65,37 @@ namespace h2o::sim {
  * Canonical identity of one simulation request: the candidate's decision
  * encoding (plus any caller tags, e.g. exec mode) and a fingerprint of
  * everything else that determines the result (chip, pass config).
- * Equality is exact — fingerprints only pick the shard/bucket; full keys
+ * Equality is exact — the hash only picks the stripe/bucket; full keys
  * are compared on lookup, so distinct configurations never alias.
+ *
+ * The constructor computes simCacheKeyHash once and the key carries it:
+ * stripe choice, the shard index and the batch dedupe all read the
+ * stored hash instead of re-mixing every decision word. The fields are
+ * read-only, so the stored hash can never go stale.
  */
-struct SimCacheKey
+class SimCacheKey
 {
-    /** Canonical decision encoding; callers append discriminator tags
-     *  (e.g. training-vs-serving) as extra trailing elements. */
-    std::vector<uint64_t> decisions;
-    /** simConfigFingerprint() of the chip + pass configuration. */
-    uint64_t configFingerprint = 0;
+  public:
+    /** @param decisions Canonical decision encoding; callers append
+     *         discriminator tags (e.g. training-vs-serving) as extra
+     *         trailing elements.
+     *  @param config_fingerprint simConfigFingerprint() of the chip +
+     *         pass configuration. */
+    SimCacheKey(std::vector<uint64_t> decisions,
+                uint64_t config_fingerprint);
 
+    const std::vector<uint64_t> &decisions() const { return _decisions; }
+    uint64_t configFingerprint() const { return _configFingerprint; }
+    /** simCacheKeyHash of this key, computed at construction. */
+    uint64_t hash() const { return _hash; }
+
+    /** Exact equality; the stored hashes reject most mismatches first. */
     bool operator==(const SimCacheKey &other) const = default;
+
+  private:
+    uint64_t _hash;
+    uint64_t _configFingerprint;
+    std::vector<uint64_t> _decisions;
 };
 
 /** Order-sensitive 64-bit fingerprint of a chip description. */
@@ -82,8 +104,20 @@ uint64_t chipFingerprint(const hw::ChipSpec &chip);
 /** Fingerprint of a full simulator configuration (chip + passes). */
 uint64_t simConfigFingerprint(const SimConfig &config);
 
-/** Hash of a full cache key (shard/bucket selection only). */
+/** Hash of a key's fields (stripe/bucket selection only); the value
+ *  SimCacheKey::hash() stores. */
+uint64_t simCacheKeyHash(std::span<const uint64_t> decisions,
+                         uint64_t config_fingerprint);
+
+/** Recompute a key's hash from its fields. */
 uint64_t simCacheKeyHash(const SimCacheKey &key);
+
+/** Build a key from a candidate's decision sample, caller-chosen
+ *  trailing tags (the exec-mode tag first) and a precomputed
+ *  simConfigFingerprint — batched callers fingerprint each config once. */
+SimCacheKey makeSimCacheKey(std::span<const size_t> sample,
+                            std::span<const uint64_t> tags,
+                            uint64_t config_fingerprint);
 
 /** Build a key from a candidate's decision sample, a caller-chosen mode
  *  tag, and the simulator configuration. */
@@ -117,26 +151,28 @@ class SimCache
      */
     explicit SimCache(size_t capacity, size_t num_shards = 16);
 
-    /** Look up a key; on hit copies the cached result into `out` and
-     *  refreshes its LRU position. Counts a hit or miss. */
+    /** Look up a key; on hit copies the cached result (empty `perOp`)
+     *  into `out` and refreshes its LRU position. Counts a hit or miss. */
     bool lookup(const SimCacheKey &key, SimResult &out);
 
-    /** Insert (or overwrite) a key's result, evicting the shard's
-     *  least-recently-used entry when over budget. */
+    /** Insert (or overwrite) a key's result, minus its per-op timings,
+     *  evicting the shard's least-recently-used entry when over budget. */
     void insert(const SimCacheKey &key, SimResult value);
 
     /**
-     * Batched lookup: keys are grouped by mutex stripe so each stripe's
-     * lock is acquired ONCE per batch instead of once per key. Within a
-     * stripe, keys are processed in ascending batch position, so hit
+     * Batched lookup: keys are grouped by mutex stripe (one pass) so
+     * each stripe's lock is acquired ONCE per batch instead of once per
+     * key. Stripes are visited in order of their first key, and within a
+     * stripe keys are processed in ascending batch position, so hit
      * counting and LRU refresh order are deterministic. On hit,
      * `out[i]` is filled. Returns one hit flag per key.
      */
     std::vector<char> lookupBatch(std::span<const SimCacheKey> keys,
                                   std::vector<SimResult> &out);
 
-    /** Batched insert, one stripe-lock acquisition per stripe touched.
-     *  keys and values are parallel arrays. */
+    /** Batched insert, one stripe-lock acquisition per stripe touched,
+     *  in the same order as lookupBatch. keys and values are parallel
+     *  arrays. */
     void insertBatch(std::span<const SimCacheKey> keys,
                      std::span<const SimResult> values);
 
@@ -149,7 +185,8 @@ class SimCache
      * Batched memoization: one lookupBatch, then `computeMisses(miss
      * indices) -> results parallel to the miss list` runs OUTSIDE every
      * lock, then one insertBatch of the fresh results. Returns results
-     * parallel to `keys`.
+     * parallel to `keys`, each with an empty `perOp` (fill results drop
+     * theirs on the worker that computed them).
      *
      * Duplicate missing keys within a batch are computed ONCE per
      * distinct key; the result fans out to every duplicate position.
@@ -181,17 +218,25 @@ class SimCache
 
         // Distinct missing keys, in first-occurrence order. `reps[r]`
         // is the representative batch position of distinct key r;
-        // `rep_of[j]` maps the j-th miss position back to its key.
+        // `rep_of[j]` maps the j-th miss position back to its key. The
+        // dedupe map points into `keys`: no key is copied.
         std::vector<size_t> reps;
         std::vector<size_t> miss_pos;
         std::vector<size_t> rep_of;
         {
-            std::unordered_map<SimCacheKey, size_t, KeyHash> first_seen;
+            const size_t n_missing = static_cast<size_t>(
+                std::count(hit.begin(), hit.end(), char{0}));
+            miss_pos.reserve(n_missing);
+            rep_of.reserve(n_missing);
+            std::unordered_map<const SimCacheKey *, size_t, KeyPtrHash,
+                               KeyPtrEq>
+                first_seen;
+            first_seen.reserve(n_missing);
             for (size_t i = 0; i < keys.size(); ++i) {
                 if (hit[i])
                     continue;
                 auto [it, inserted] =
-                    first_seen.try_emplace(keys[i], reps.size());
+                    first_seen.try_emplace(&keys[i], reps.size());
                 if (inserted)
                     reps.push_back(i);
                 miss_pos.push_back(i);
@@ -214,6 +259,8 @@ class SimCache
             h2o_assert(out.size() == part.size(),
                        "computeMisses returned ", out.size(),
                        " results for ", part.size(), " misses");
+            for (SimResult &r : out)
+                dropPerOp(r);
             std::move(out.begin(), out.end(),
                       fresh.begin() + static_cast<ptrdiff_t>(lo));
         };
@@ -244,11 +291,7 @@ class SimCache
         // Write-back on the calling thread, ascending representative
         // position: insertion/eviction/recency order is a function of
         // the batch alone, never of worker timing.
-        std::vector<SimCacheKey> miss_keys;
-        miss_keys.reserve(reps.size());
-        for (size_t i : reps)
-            miss_keys.push_back(keys[i]);
-        insertBatch(miss_keys, fresh);
+        insertAt(keys, reps, fresh);
 
         // Fan out: duplicate positions copy, the representative moves.
         for (size_t j = 0; j < miss_pos.size(); ++j)
@@ -260,7 +303,8 @@ class SimCache
     }
 
     /** Memoize `compute()` under `key`. The computation runs outside
-     *  any lock; concurrent misses on one key may compute twice. */
+     *  any lock; concurrent misses on one key may compute twice. The
+     *  result has an empty `perOp`, hit or miss. */
     template <typename Fn>
     SimResult getOrCompute(const SimCacheKey &key, Fn &&compute)
     {
@@ -268,6 +312,7 @@ class SimCache
         if (lookup(key, cached))
             return cached;
         SimResult fresh = compute();
+        dropPerOp(fresh);
         insert(key, fresh);
         return fresh;
     }
@@ -281,7 +326,8 @@ class SimCache
     /**
      * Serialize every cached entry in GLOBAL least-recently-used-first
      * order (the per-entry recency tick, not per-shard list order) in
-     * the tagged text format used by exec::Checkpoint streams. A
+     * the tagged text format used by exec::Checkpoint streams (format
+     * v1, each entry's per-op record written empty). A
      * subsequent load() therefore reproduces the recency order even
      * into a cache with a different capacity or shard count. Counters
      * are not persisted — they describe a process, not the contents.
@@ -294,7 +340,8 @@ class SimCache
      * global oldest-first order means the oldest entries are the ones
      * evicted). Entries whose config fingerprint no longer matches any
      * caller's configuration are harmless: exact key equality keeps
-     * them from ever aliasing.
+     * them from ever aliasing. Per-op timings in older streams are
+     * validated and dropped, like every insert's.
      */
     void load(std::istream &is);
 
@@ -321,15 +368,25 @@ class SimCache
     struct Entry
     {
         SimCacheKey key;
+        /** The scalar summary: `perOp` is always empty. */
         SimResult value;
         /** Global recency stamp (higher = more recent); orders save(). */
         uint64_t tick = 0;
     };
-    struct KeyHash
+    /** Hash/equality through a key pointer, for maps that refer to keys
+     *  owned elsewhere (the shard index, the batch dedupe). */
+    struct KeyPtrHash
     {
-        size_t operator()(const SimCacheKey &k) const
+        size_t operator()(const SimCacheKey *k) const
         {
-            return static_cast<size_t>(simCacheKeyHash(k));
+            return static_cast<size_t>(k->hash());
+        }
+    };
+    struct KeyPtrEq
+    {
+        bool operator()(const SimCacheKey *a, const SimCacheKey *b) const
+        {
+            return *a == *b;
         }
     };
     struct Shard
@@ -337,12 +394,39 @@ class SimCache
         std::mutex mu;
         /** Front = most recently used. */
         std::list<Entry> lru;
-        std::unordered_map<SimCacheKey, std::list<Entry>::iterator,
-                           KeyHash>
+        /** Keyed by the address of each entry's own key (list nodes
+         *  never move), so an entry stores its key once. An index entry
+         *  is erased before the list node it points into. */
+        std::unordered_map<const SimCacheKey *, std::list<Entry>::iterator,
+                           KeyPtrHash, KeyPtrEq>
             index;
     };
 
-    Shard &shardFor(const SimCacheKey &key);
+    /** Free a result's per-op timings (clear() would keep capacity). */
+    static void dropPerOp(SimResult &r)
+    {
+        std::vector<OpTiming>().swap(r.perOp);
+    }
+
+    Shard &shardFor(const SimCacheKey &key)
+    {
+        return *_shards[key.hash() % _shards.size()];
+    }
+
+    /** Under `shard`'s lock: on hit refresh the entry's LRU position and
+     *  copy its value into `out`. */
+    bool findLocked(Shard &shard, const SimCacheKey &key, SimResult &out);
+
+    /** Under `shard`'s lock: insert or overwrite (perOp dropped) and
+     *  evict the shard's oldest entry when over budget. Returns whether
+     *  an entry was evicted. */
+    bool insertLocked(Shard &shard, const SimCacheKey &key, SimResult value);
+
+    /** insertBatch of keys[positions[r]] -> values[r]: the write-back
+     *  of getOrComputeBatch, without copying its keys. */
+    void insertAt(std::span<const SimCacheKey> keys,
+                  std::span<const size_t> positions,
+                  std::span<const SimResult> values);
 
     /** Next global recency stamp (see Entry::tick). */
     uint64_t nextTick()

@@ -75,7 +75,9 @@ struct SimResult
     bool paramsResident = false;
 
     /** Per-live-op timings, parallel to graph op order (fused ops have
-     *  zeroed entries). Kept for the hardware-analysis benches. */
+     *  zeroed entries), filled by run/runBatch/runBatchMulti for the
+     *  hardware-analysis benches and `dump`. SimCache stores scalar
+     *  summaries only, so a cached result's perOp is empty. */
     std::vector<OpTiming> perOp;
 };
 

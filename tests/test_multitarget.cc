@@ -13,10 +13,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <sstream>
 
 #include "arch/dlrm_arch.h"
 #include "baselines/quality_model.h"
+#include "common/rng.h"
 #include "eval/dlrm_timer.h"
 #include "hw/target_set.h"
 #include "reward/reward.h"
@@ -25,6 +27,7 @@
 #include "search/stepwise.h"
 #include "searchspace/dlrm_space.h"
 #include "serve/job.h"
+#include "sim/sim_cache.h"
 #include "sim/simulator.h"
 
 namespace arch = h2o::arch;
@@ -268,6 +271,67 @@ TEST(ServeStepTimesMulti, PerChipColumnsMatchDirectSimulation)
     // Edge chips are much slower than the serving TPU.
     EXPECT_GT(out[0][1], out[0][0]);
     EXPECT_GT(out[0][2], out[0][0]);
+}
+
+TEST(ServeStepTimesMulti, MixedChipCountsMatchDirectSimulationAtAnyPool)
+{
+    // One chip at 1 and at 4 chips plus a second chip at 1: the first
+    // two share a SimConfig but not a graph, so their keys must differ
+    // and each candidate is lowered once per chip count.
+    ss::DlrmSearchSpace space(arch::baselineDlrm());
+    hw::TargetSet targets({{"tpuv4i_x1", {hw::tpuV4i(), 1}},
+                           {"tpuv4i_x4", {hw::tpuV4i(), 4}},
+                           {"edgenpu_x1", {hw::edgeNpu(), 1}}});
+    // 86 distinct samples x 3 targets = 258 keys: candidate 85's keys
+    // (positions 255..257) straddle the 256-key fill-chunk boundary.
+    h2o::common::Rng rng(5);
+    std::vector<ss::Sample> samples;
+    std::set<ss::Sample> seen;
+    while (samples.size() < 86) {
+        ss::Sample s = space.decisions().uniformSample(rng);
+        if (seen.insert(s).second)
+            samples.push_back(s);
+    }
+    ASSERT_EQ(samples.size() * targets.size(), 258u);
+    ASSERT_EQ(sim::SimCache::kDefaultFillChunk, 256u);
+
+    std::vector<std::vector<double>> by_pool[2];
+    const size_t pools[2] = {1, 4};
+    for (size_t p = 0; p < 2; ++p) {
+        ev::CachedDlrmTimer timer(hw::trainingPlatform(),
+                                  hw::servingPlatform(), size_t{1} << 10,
+                                  pools[p]);
+        by_pool[p] = timer.serveStepTimesMulti(space, samples, targets);
+        EXPECT_EQ(timer.cacheStats().misses, 258u) << pools[p];
+        EXPECT_EQ(timer.cacheStats().entries, 258u) << pools[p];
+        // A repeat is all hits with the same values.
+        auto again = timer.serveStepTimesMulti(space, samples, targets);
+        EXPECT_EQ(timer.cacheStats().hits, 258u) << pools[p];
+        ASSERT_EQ(again.size(), samples.size());
+        for (size_t i = 0; i < samples.size(); ++i)
+            for (size_t c = 0; c < targets.size(); ++c)
+                EXPECT_TRUE(sameBits(again[i][c], by_pool[p][i][c]))
+                    << i << "," << c;
+    }
+
+    ASSERT_EQ(by_pool[0].size(), samples.size());
+    for (size_t i = 0; i < samples.size(); ++i) {
+        ASSERT_EQ(by_pool[0][i].size(), targets.size());
+        for (size_t c = 0; c < targets.size(); ++c) {
+            arch::DlrmArch serving = space.decode(samples[i]);
+            serving.globalBatch = 1024;
+            sim::Simulator solo(
+                sim::SimConfig{targets[c].platform.chip, true, true, {}});
+            sim::SimResult ref = solo.run(arch::buildDlrmGraph(
+                serving, targets[c].platform, arch::ExecMode::Serving));
+            EXPECT_TRUE(sameBits(by_pool[0][i][c], ref.stepTimeSec))
+                << i << "," << c;
+            EXPECT_TRUE(sameBits(by_pool[1][i][c], by_pool[0][i][c]))
+                << i << "," << c;
+        }
+    }
+    // The chip counts genuinely differ in step time.
+    EXPECT_FALSE(sameBits(by_pool[0][0][0], by_pool[0][0][1]));
 }
 
 // --------------------------------------------------- MultiTargetReward

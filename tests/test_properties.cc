@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <memory>
+#include <sstream>
 #include <tuple>
 
 #include "arch/conv_arch.h"
@@ -393,6 +394,8 @@ TEST_P(SimCacheBatchPropertyTest, BatchEqualsUncachedRunAndStatsAddUp)
                 rng.uniformInt(0, 9))]);
             keys.push_back(sim::makeSimCacheKey(*picked.back(), 0,
                                                 config));
+            // The hash a key carries is its fields' hash.
+            EXPECT_EQ(keys.back().hash(), sim::simCacheKeyHash(keys.back()));
         }
         lookups += n;
         auto results = cache.getOrComputeBatch(
@@ -428,6 +431,34 @@ TEST_P(SimCacheBatchPropertyTest, BatchEqualsUncachedRunAndStatsAddUp)
         sim::SimCacheStats stats = cache.stats();
         EXPECT_EQ(stats.hits + stats.misses, lookups);
         EXPECT_LE(stats.entries, cache.capacity());
+    }
+
+    // Keys rebuilt by load() and mergeFrom() carry the same hashes as
+    // fresh keys: they land in the same stripes, a re-save is
+    // byte-identical, and fresh keys hit exactly the same entries.
+    std::ostringstream image;
+    cache.save(image);
+    sim::SimCache loaded(capacity, 2);
+    std::istringstream load_in(image.str());
+    loaded.load(load_in);
+    sim::SimCache merged(capacity, 2);
+    std::istringstream merge_in(image.str());
+    merged.mergeFrom(merge_in);
+    for (const sim::SimCache *copy : {&loaded, &merged}) {
+        std::ostringstream again;
+        copy->save(again);
+        EXPECT_EQ(again.str(), image.str());
+    }
+    for (const ss::Sample &c : candidates) {
+        sim::SimCacheKey fresh = sim::makeSimCacheKey(c, 0, config);
+        sim::SimResult a, b, m;
+        bool in_cache = cache.lookup(fresh, a);
+        EXPECT_EQ(loaded.lookup(fresh, b), in_cache);
+        EXPECT_EQ(merged.lookup(fresh, m), in_cache);
+        if (in_cache) {
+            EXPECT_EQ(b.stepTimeSec, a.stepTimeSec);
+            EXPECT_EQ(m.stepTimeSec, a.stepTimeSec);
+        }
     }
 }
 

@@ -7,8 +7,10 @@
  * round-trips that preserve global recency order.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -17,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/serialize.h"
 #include "exec/checkpoint.h"
 #include "exec/thread_pool.h"
 #include "hw/chip.h"
@@ -49,6 +52,9 @@ configFor(hw::ChipModel model)
 
 TEST(SimCache, HitReturnsExactCachedResult)
 {
+    // The cache holds scalar summaries: every scalar field comes back
+    // exact, and the per-op timings are dropped on insert, so perOp is
+    // empty after lookup and after a save()/load() round trip.
     sim::SimCache cache(16);
     sim::SimCacheKey key =
         sim::makeSimCacheKey({1, 2, 3}, 0, configFor(hw::ChipModel::TpuV4));
@@ -57,18 +63,66 @@ TEST(SimCache, HitReturnsExactCachedResult)
     EXPECT_FALSE(cache.lookup(key, out));
 
     sim::SimResult stored = resultWithStepTime(0.125);
+    stored.boundBy = hw::BoundBy::Network;
+    stored.fusedOps = 2;
+    stored.paramsResident = true;
+    stored.energyPerStepJ = 3.5;
+    ASSERT_FALSE(stored.perOp.empty());
     cache.insert(key, stored);
+    auto expectScalarCopy = [&](const sim::SimResult &r) {
+        EXPECT_EQ(r.stepTimeSec, stored.stepTimeSec);
+        EXPECT_EQ(r.totalFlops, stored.totalFlops);
+        EXPECT_EQ(r.energyPerStepJ, stored.energyPerStepJ);
+        EXPECT_EQ(r.boundBy, stored.boundBy);
+        EXPECT_EQ(r.liveOps, stored.liveOps);
+        EXPECT_EQ(r.fusedOps, stored.fusedOps);
+        EXPECT_EQ(r.paramsResident, stored.paramsResident);
+        EXPECT_TRUE(r.perOp.empty());
+    };
     ASSERT_TRUE(cache.lookup(key, out));
-    EXPECT_EQ(out.stepTimeSec, stored.stepTimeSec);
-    EXPECT_EQ(out.totalFlops, stored.totalFlops);
-    EXPECT_EQ(out.liveOps, stored.liveOps);
-    ASSERT_EQ(out.perOp.size(), stored.perOp.size());
-    EXPECT_EQ(out.perOp[1].seconds, stored.perOp[1].seconds);
+    expectScalarCopy(out);
 
     sim::SimCacheStats stats = cache.stats();
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.entries, 1u);
+
+    std::stringstream ss;
+    cache.save(ss);
+    sim::SimCache loaded(16);
+    loaded.load(ss);
+    sim::SimResult reloaded = resultWithStepTime(9.0);
+    ASSERT_TRUE(loaded.lookup(key, reloaded));
+    expectScalarCopy(reloaded);
+}
+
+TEST(SimCache, LoadDropsPerOpRecordsOfOlderStreams)
+{
+    // A format-v1 stream written before the cache dropped per-op
+    // timings carries them: it still loads, scalars exact, perOp empty.
+    sim::SimCacheKey key =
+        sim::makeSimCacheKey({4, 5}, 1, configFor(hw::ChipModel::TpuV4i));
+    std::stringstream ss;
+    common::writeTaggedU64(ss, "sim_cache", {1, 1});
+    std::vector<uint64_t> key_words{key.configFingerprint()};
+    key_words.insert(key_words.end(), key.decisions().begin(),
+                     key.decisions().end());
+    common::writeTaggedU64(ss, "key", key_words);
+    std::vector<double> scalars(18, 0.0);
+    scalars[0] = 0.25; // stepTimeSec
+    common::writeTagged(ss, "res", scalars);
+    common::writeTaggedU64(ss, "res_meta", {0, 2, 0, 1});
+    common::writeTagged(ss, "res_per_op",
+                        {0.1, 0, 0, 0, 0, 0, 0, 0.15, 0, 0, 0, 0, 0, 0});
+
+    sim::SimCache cache(8);
+    cache.load(ss);
+    sim::SimResult out;
+    ASSERT_TRUE(cache.lookup(key, out));
+    EXPECT_EQ(out.stepTimeSec, 0.25);
+    EXPECT_EQ(out.liveOps, 2u);
+    EXPECT_TRUE(out.paramsResident);
+    EXPECT_TRUE(out.perOp.empty());
 }
 
 TEST(SimCache, GetOrComputeComputesOnceThenHits)
@@ -276,7 +330,7 @@ TEST(SimCache, BatchDedupesDuplicateMissingKeys)
             std::vector<sim::SimResult> out;
             for (size_t m : misses)
                 out.push_back(
-                    resultWithStepTime(double(keys[m].decisions[0] + 1)));
+                    resultWithStepTime(double(keys[m].decisions()[0] + 1)));
             return out;
         };
         // fill_chunk=2: the duplicates of a key land in chunks that did
@@ -287,7 +341,7 @@ TEST(SimCache, BatchDedupesDuplicateMissingKeys)
         ASSERT_EQ(results.size(), keys.size());
         for (size_t j = 0; j < keys.size(); ++j)
             EXPECT_EQ(results[j].stepTimeSec,
-                      double(keys[j].decisions[0] + 1));
+                      double(keys[j].decisions()[0] + 1));
         // The cold batch counts every position as a miss (none were
         // served from the cache), but only distinct keys were inserted.
         sim::SimCacheStats stats = cache.stats();
@@ -295,6 +349,64 @@ TEST(SimCache, BatchDedupesDuplicateMissingKeys)
         EXPECT_EQ(stats.hits, 0u);
         EXPECT_EQ(stats.entries, 6u);
     }
+}
+
+TEST(SimCache, BatchesVisitStripesInFirstKeyOrderPositionsAscending)
+{
+    // The batch order contract behind deterministic recency: stripes in
+    // order of their first key, keys ascending within a stripe. A cache
+    // fed key by key in exactly that order must save() the same bytes,
+    // after insertBatch and again after lookupBatch.
+    const size_t shards = 4;
+    sim::SimConfig cfg = configFor(hw::ChipModel::TpuV4);
+    std::vector<sim::SimCacheKey> keys;
+    std::vector<sim::SimResult> values;
+    for (size_t i = 0; i < 12; ++i) {
+        keys.push_back(sim::makeSimCacheKey({i}, 0, cfg));
+        values.push_back(resultWithStepTime(double(i + 1)));
+    }
+    // Positions of `ks` in the contract's order.
+    auto grouped = [&](const std::vector<sim::SimCacheKey> &ks) {
+        std::vector<size_t> stripes; // by first appearance
+        for (const auto &k : ks) {
+            size_t st = k.hash() % shards;
+            if (std::find(stripes.begin(), stripes.end(), st) ==
+                stripes.end())
+                stripes.push_back(st);
+        }
+        std::vector<size_t> order;
+        for (size_t st : stripes)
+            for (size_t i = 0; i < ks.size(); ++i)
+                if (ks[i].hash() % shards == st)
+                    order.push_back(i);
+        return order;
+    };
+    std::vector<size_t> order = grouped(keys);
+    std::vector<size_t> identity(keys.size());
+    std::iota(identity.begin(), identity.end(), size_t{0});
+    ASSERT_NE(order, identity) << "stripes happen to be contiguous";
+
+    auto image = [](const sim::SimCache &c) {
+        std::ostringstream os;
+        c.save(os);
+        return os.str();
+    };
+    sim::SimCache batched(64, shards);
+    sim::SimCache serial(64, shards);
+    batched.insertBatch(keys, values);
+    for (size_t i : order)
+        serial.insert(keys[i], values[i]);
+    EXPECT_EQ(image(batched), image(serial));
+
+    // Reverse the batch so the lookup order differs from the inserts'.
+    std::vector<sim::SimCacheKey> reversed(keys.rbegin(), keys.rend());
+    std::vector<sim::SimResult> out;
+    auto hit = batched.lookupBatch(reversed, out);
+    EXPECT_EQ(std::count(hit.begin(), hit.end(), char{1}), 12);
+    sim::SimResult r;
+    for (size_t i : grouped(reversed))
+        ASSERT_TRUE(serial.lookup(reversed[i], r));
+    EXPECT_EQ(image(batched), image(serial));
 }
 
 TEST(SimCache, BatchExceptionPropagatesFromPooledChunk)
