@@ -118,14 +118,12 @@ main(int argc, char **argv)
         eval::EvalEngineConfig ec;
         ec.numShards = shards;
         ec.threads = threads;
-        eval::EvalEngine engine(perf_batch, rwd, ec);
+        eval::EvalEngine engine(perf_batch, rwd, ec, quality);
         auto start = Clock::now();
         for (size_t step = 0; step < steps; ++step) {
             auto ev = engine.evaluate(
-                step, [&](size_t s, searchspace::Sample &sample,
-                          double &q) {
+                step, [&](size_t s, searchspace::Sample &sample) {
                     sample = candidates[step * shards + s];
-                    q = quality(sample);
                 });
             for (size_t s : ev.survivors)
                 batch_checksum += ev.rewards[s];

@@ -15,9 +15,10 @@
  * bit-for-bit identical at every thread count while step throughput
  * scales with the workers.
  *
- * Part 2 runs the unified single-step DLRM search (shared supernet +
- * pipeline through the deterministic ordered section) across the same
- * thread counts and checks bit-identity there too.
+ * Part 2 runs the unified single-step DLRM search across the same
+ * thread counts — shards draw concurrently, then the coordinator runs
+ * the shared supernet + pipeline pass over the survivors in shard order
+ * — and checks bit-identity there too.
  *
  * Part 3 attaches the seeded FaultInjector at preemptible-fleet rates
  * (more than a quarter of shard-steps disrupted) and shows the search

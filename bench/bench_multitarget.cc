@@ -134,7 +134,6 @@ main(int argc, char **argv)
         cfg.rl.learningRate = 0.08;
         cfg.rl.entropyWeight = 5e-3;
         cfg.threads = t == 0 ? 1 : t;
-        cfg.multithread = t != 1;
         if (multi) {
             cfg.multiTarget.targetNames = targets.names();
             cfg.multiTarget.perfOffset = 0;

@@ -150,7 +150,8 @@ defineThreadsFlag(Flags &flags)
 {
     flags.defineInt("threads", threadsFlagDefault(),
                     "worker threads for shard evaluation (0 = one per "
-                    "hardware thread; default from H2O_THREADS)");
+                    "CPU this process may use; default from "
+                    "H2O_THREADS)");
 }
 
 int64_t

@@ -52,8 +52,9 @@ class CachedDlrmTimer
      *        many threads (SimCache::getOrComputeBatch fan-out; the
      *        per-thread PassWorkspaces keep workers allocation-free).
      *        1 — the default — computes misses inline on the calling
-     *        thread; 0 means one worker per hardware thread. Results,
-     *        counters and cache images are bit-identical at any value.
+     *        thread; 0 means one worker per CPU in the affinity mask.
+     *        Results, counters and cache images are bit-identical at
+     *        any value.
      * @param key_salt Distinguishes timers whose samples come from
      *        DIFFERENT search spaces sharing one cache: the salt folds
      *        into the exec-mode tag appended to every key (salt 0

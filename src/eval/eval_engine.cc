@@ -74,13 +74,10 @@ EvalEngine::EvalEngine(PerfStage perf,
                        EvalEngineConfig config, QualityFn quality)
     : _perf(std::move(perf)), _reward(rewardf), _config(config),
       _quality(std::move(quality)),
-      _pool(config.multithread
-                ? exec::ThreadPool::resolve(config.threads,
-                                            config.numShards)
-                : 1),
+      _pool(exec::ThreadPool::resolve(config.threads, config.numShards)),
       _runner(_pool,
               {config.numShards, config.maxShardAttempts,
-               config.retryBackoffMs, config.inlineSingleThread},
+               config.retryBackoffMs},
               config.faults)
 {
     h2o_assert(_perf.perCandidate || _perf.batched,
@@ -125,8 +122,7 @@ EvalEngine::EvalEngine(PerfStage perf,
             *_transport,
             exec::ShardRunnerConfig{_config.numShards,
                                     _config.maxShardAttempts,
-                                    _config.retryBackoffMs,
-                                    _config.inlineSingleThread},
+                                    _config.retryBackoffMs},
             _config.faults);
     }
 }
@@ -191,13 +187,9 @@ EvalEngine::runProcStage(size_t step, const SampleBodyFn &body,
 }
 
 StepEval
-EvalEngine::evaluate(size_t step, const ShardBodyFn &body)
+EvalEngine::runShards(size_t step, const SampleBodyFn &body,
+                      bool withQuality)
 {
-    if (_procRunner)
-        h2o_fatal("per-shard quality closures cannot cross the process "
-                  "boundary; with procs > 0 use the draw-only "
-                  "evaluate() overloads (pure quality functor or "
-                  "batched quality)");
     const size_t n = _config.numShards;
     StepEval ev;
     ev.samples.resize(n);
@@ -205,56 +197,35 @@ EvalEngine::evaluate(size_t step, const ShardBodyFn &body)
     ev.performance.resize(n);
     ev.rewards.assign(n, 0.0);
 
-    // Stage 1: quality, per shard, under the fault-tolerant runner. In
-    // per-candidate mode the performance call rides along inside the
-    // shard body, so a blocking function (device-in-the-loop) occupies
-    // its shard and overlaps across workers.
-    ev.report = _runner.runStep(step, [&](size_t s) {
-        body(s, ev.samples[s], ev.qualities[s]);
-        if (_perf.perCandidate)
-            ev.performance[s] = _perf.perCandidate(ev.samples[s]);
-    });
+    // Under the fault-tolerant runner: a degraded shard never draws, so
+    // its RNG stream never advances. Per-candidate stages ride along in
+    // the shard body (or the worker process), so a blocking function
+    // (device-in-the-loop) occupies its shard and overlaps across
+    // workers.
+    if (_procRunner) {
+        runProcStage(step, body, withQuality, ev);
+    } else {
+        ev.report = _runner.runStep(step, [&](size_t s) {
+            body(s, ev.samples[s]);
+            if (withQuality)
+                ev.qualities[s] = _quality(ev.samples[s]);
+            if (_perf.perCandidate)
+                ev.performance[s] = _perf.perCandidate(ev.samples[s]);
+        });
+    }
     ev.survivors = ev.report.survivors();
-    if (ev.survivors.empty())
-        return ev;
-
-    finishStep(ev);
     return ev;
 }
 
 StepEval
 EvalEngine::evaluate(size_t step, const SampleBodyFn &body)
 {
-    h2o_assert(_quality, "draw-only evaluate() requires the engine to "
-                         "be built with a pure quality functor");
-    if (!_procRunner) {
-        // Thread path: compose the historical per-shard body (draw,
-        // then quality, inside the shard body) so results are
-        // bit-identical to engines that predate the draw-only mode.
-        const QualityFn &quality = _quality;
-        return evaluate(step,
-                        ShardBodyFn([&body, &quality](
-                                        size_t s,
-                                        searchspace::Sample &sample,
-                                        double &q) {
-                            body(s, sample);
-                            q = quality(sample);
-                        }));
-    }
-
-    const size_t n = _config.numShards;
-    StepEval ev;
-    ev.samples.resize(n);
-    ev.qualities.assign(n, 0.0);
-    ev.performance.resize(n);
-    ev.rewards.assign(n, 0.0);
-
-    runProcStage(step, body, /*withQuality=*/true, ev);
-    ev.survivors = ev.report.survivors();
-    if (ev.survivors.empty())
-        return ev;
-
-    finishStep(ev);
+    h2o_assert(_quality, "evaluate() without a batched quality requires "
+                         "the engine to be built with a pure quality "
+                         "functor");
+    StepEval ev = runShards(step, body, /*withQuality=*/true);
+    if (!ev.survivors.empty())
+        finishStep(ev);
     return ev;
 }
 
@@ -263,36 +234,11 @@ EvalEngine::evaluate(size_t step, const SampleBodyFn &body,
                      const QualityBatchFn &quality)
 {
     h2o_assert(quality, "null batched quality functor");
-    const size_t n = _config.numShards;
-    StepEval ev;
-    ev.samples.resize(n);
-    ev.qualities.assign(n, 0.0);
-    ev.performance.resize(n);
-    ev.rewards.assign(n, 0.0);
-
-    // Stage 1: draw-only shard bodies under the fault-tolerant runner —
-    // fault semantics are unchanged (a degraded shard never draws, its
-    // RNG stream never advances). Per-candidate performance still rides
-    // along (inside the shard body on the thread path, inside the
-    // worker processes in proc mode) so device-in-the-loop functions
-    // overlap across workers.
-    if (_procRunner) {
-        runProcStage(step, body, /*withQuality=*/false, ev);
-    } else {
-        ev.report = _runner.runStep(step, [&](size_t s) {
-            body(s, ev.samples[s]);
-            if (_perf.perCandidate)
-                ev.performance[s] = _perf.perCandidate(ev.samples[s]);
-        });
-    }
-    ev.survivors = ev.report.survivors();
+    StepEval ev = runShards(step, body, /*withQuality=*/false);
     if (ev.survivors.empty())
         return ev;
 
-    // Stage 1b: ONE quality call over the survivors, ascending shard
-    // order — exactly the order the per-shard path's ordered sections
-    // admit shards, so a quality function that runs the same work per
-    // candidate produces bit-identical qualities.
+    // ONE quality call over the survivors, ascending shard order.
     std::vector<searchspace::Sample> live;
     live.reserve(ev.survivors.size());
     for (size_t s : ev.survivors)

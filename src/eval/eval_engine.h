@@ -9,12 +9,17 @@
  * body that sampled/evaluated/rewarded one candidate, and ad-hoc
  * survivor bookkeeping. EvalEngine centralizes that pipeline:
  *
- *   1. quality stage — runs per shard INSIDE ShardRunner::runStep, so
- *      FaultInjector semantics are unchanged: an injected fault strikes
- *      before the shard body, a degraded shard never draws its sample
- *      and never advances its RNG stream. Bodies may still carve out
- *      deterministic shard-index-ordered regions (the shared supernet /
- *      pipeline) via `engine.runner().ordered()`.
+ *   1. draw + quality stage — the caller's draw-only shard body runs
+ *      per shard INSIDE ShardRunner::runStep, so FaultInjector semantics
+ *      hold: an injected fault strikes before the shard body, a degraded
+ *      shard never draws its sample and never advances its RNG stream.
+ *      Quality then comes from one of two sources:
+ *      - the constructor's PURE QualityFn, per candidate inside the
+ *        shard body (or inside a worker process in proc mode);
+ *      - a QualityBatchFn passed to evaluate(), ONE coordinator-side
+ *        call over the survivors in ascending shard order. Quality that
+ *        touches shared state (the weight-sharing supernet, the batch
+ *        pipeline) goes here.
  *   2. performance stage — in one of two modes, chosen by which functor
  *      type the engine is built with:
  *      - PerfBatchFn: ONE batched call over the step's surviving
@@ -49,6 +54,7 @@
 
 #include "exec/proc_runner.h"
 #include "exec/proc_transport.h"
+#include "exec/run_options.h"
 #include "exec/shard_runner.h"
 #include "exec/thread_pool.h"
 #include "reward/reward.h"
@@ -61,9 +67,9 @@ using PerfFn =
     std::function<std::vector<double>(const searchspace::Sample &)>;
 
 /** Candidate -> quality signal; PURE (same candidate, same answer,
- *  regardless of process or thread). Required for the process
- *  transport's worker-side quality stage; also drives the draw-only
- *  evaluate(step, SampleBodyFn) overload on the thread path. */
+ *  regardless of process or thread). Drives the evaluate(step,
+ *  SampleBodyFn) overload: inside the shard body on the thread path,
+ *  inside the worker processes in proc mode. */
 using QualityFn = std::function<double(const searchspace::Sample &)>;
 
 /** Batch of candidates -> objective values, one vector per candidate.
@@ -98,52 +104,20 @@ struct PerfStage
     PerfBatchFn batched;
 };
 
-/** Engine configuration (mirrors the exec runtime knobs). */
-struct EvalEngineConfig
+/** Engine configuration: the shard count, the coordinator's thread
+ *  count and the shared fleet/retry options (exec::RunOptions). With
+ *  `procs` or `workers` set the engine ships each shard's pure work to
+ *  worker processes / daemons; `threads` then only sizes the pool used
+ *  for non-evaluate runner() steps. Every thread count and fleet shape
+ *  yields byte-identical results. */
+struct EvalEngineConfig : exec::RunOptions
 {
     /** Virtual accelerator shards = candidates per step. */
     size_t numShards = 1;
-    /** Worker threads; 0 = one per hardware thread. Clamped to
-     *  numShards. Any value yields bit-identical results. */
+    /** Worker threads; 0 = one per CPU in the affinity mask. Clamped to
+     *  numShards. One worker runs the shard bodies inline on the
+     *  evaluate() caller's thread. */
     size_t threads = 0;
-    /** false forces a single worker (results identical either way). */
-    bool multithread = true;
-    /** Optional fault oracle (preemptible-fleet emulation); not owned. */
-    exec::FaultInjector *faults = nullptr;
-    /** Max attempts per shard per step before it is dropped. */
-    size_t maxShardAttempts = 3;
-    /** Exponential retry backoff base, in milliseconds. */
-    double retryBackoffMs = 0.5;
-    /** With one worker (threads == 1 or !multithread), execute shard
-     *  bodies inline on the evaluate() caller's thread instead of
-     *  dispatching to the pool — bit-identical results (see
-     *  exec::ShardRunnerConfig::inlineSingleWorker), no cross-thread
-     *  hand-off cost. Disable only to A/B the dispatch path. */
-    bool inlineSingleThread = true;
-    /**
-     * Worker PROCESSES for the shard stage (the multi-process
-     * transport, exec::ProcRunner). 0 keeps everything in-process (the
-     * thread path above). >= 1 forks that many workers (clamped to
-     * numShards) at engine construction and ships each shard's pure
-     * work — the per-candidate quality when the engine was built with
-     * one, plus the per-candidate performance stage when configured —
-     * into them; draws, fault decisions, batched stages and aggregation
-     * stay coordinator-side. Any value (including 1 vs the pure-thread
-     * path) produces byte-identical results; `threads` then only sizes
-     * the coordinator pool still used for non-evaluate runner() steps.
-     */
-    size_t procs = 0;
-    /**
-     * Remote worker daemons for the shard stage, as a comma-separated
-     * endpoint list ("host:port" for an external daemon running the
-     * same binary, "local" to fork a loopback daemon) — see
-     * exec::parseWorkerList. Empty = none. Combines with `procs`: the
-     * pool is then MIXED, forked slots first, remote slots after, and
-     * shard s is pinned to slot s % (procs + workers). Worker tasks are
-     * pure, so every combination — threads only, procs only, remote
-     * only, mixed — produces byte-identical results.
-     */
-    std::string workers;
 };
 
 /**
@@ -169,18 +143,10 @@ class EvalEngine
 {
   public:
     /**
-     * Per-shard quality stage: fill in the shard's candidate and its
-     * quality signal. Runs inside the shard body — draw the sample from
-     * the shard's own RNG stream HERE so a degraded shard leaves its
-     * stream untouched.
-     */
-    using ShardBodyFn = std::function<void(
-        size_t shard, searchspace::Sample &sample, double &quality)>;
-
-    /**
-     * Draw-only shard body for the batched quality mode: fill in the
-     * shard's candidate (from the shard's own RNG stream, so a degraded
-     * shard leaves its stream untouched) WITHOUT computing quality.
+     * Draw-only shard body: fill in the shard's candidate (from the
+     * shard's own RNG stream, so a degraded shard leaves its stream
+     * untouched) WITHOUT computing quality. Touches shard-local state
+     * only; in proc mode it runs coordinator-side.
      */
     using SampleBodyFn =
         std::function<void(size_t shard, searchspace::Sample &sample)>;
@@ -188,8 +154,8 @@ class EvalEngine
     /**
      * Batched quality stage: one coordinator-side call per step over the
      * step's surviving candidates, in ascending shard order — the order
-     * the per-shard path's ordered sections serialize to. Returns one
-     * quality per candidate (same indexing as `samples`).
+     * a serial run visits them. Returns one quality per candidate (same
+     * indexing as `samples`).
      *
      * @param shards  Surviving shard indices, ascending.
      * @param samples The candidates those shards drew, same order.
@@ -207,51 +173,39 @@ class EvalEngine
      *                the engine.
      * @param config  Shard count and runtime knobs.
      * @param quality Optional PURE per-candidate quality. Enables the
-     *                draw-only evaluate(step, SampleBodyFn) overload;
-     *                in proc mode it runs inside the worker processes
-     *                (it is captured before the workers fork).
+     *                evaluate(step, SampleBodyFn) overload; in proc
+     *                mode it runs inside the worker processes (it is
+     *                captured before the workers fork).
      */
     EvalEngine(PerfStage perf, const reward::RewardFunction &rewardf,
                EvalEngineConfig config, QualityFn quality = nullptr);
 
     /**
-     * Evaluate one step: run `body` for every shard (concurrently,
-     * fault-tolerantly), then one batched performance call and the
-     * reward over the survivors.
-     *
-     * Thread-path only: the closure computes quality inline, which
-     * cannot cross a process boundary — fatal when procs > 0 (use the
-     * draw-only overloads there).
+     * Evaluate one step with the constructor's pure quality (required):
+     * run `body` for every shard (concurrently, fault-tolerantly), with
+     * quality — and a per-candidate performance stage, when configured
+     * — computed per candidate inside the shard body on the thread path
+     * or inside the worker processes in proc mode; then one batched
+     * performance call and the reward over the survivors.
      *
      * @param step Step index keying fault-injection decisions; callers
      *             with multiple runStep phases (warm-up, W-steps) must
      *             keep the combined sequence strictly increasing.
      */
-    StepEval evaluate(size_t step, const ShardBodyFn &body);
-
-    /**
-     * Draw-only + pure-quality mode (requires the ctor `quality`):
-     * `body` draws each shard's candidate; the engine computes quality
-     * per candidate — inside the shard body on the thread path, inside
-     * the worker processes in proc mode. Bit-identical either way.
-     */
     StepEval evaluate(size_t step, const SampleBodyFn &body);
 
     /**
-     * Batched quality mode: run the draw-only `body` for every shard
-     * under the fault-tolerant runner (per-candidate performance still
-     * rides along inside the shard body when configured), then ONE
-     * `quality` call over the survivors on this thread, then the shared
-     * performance/reward tail. Identical StepEval to the per-shard
-     * overload whenever `quality` computes what the per-shard bodies
-     * would have computed in ascending shard order.
+     * As above, but quality comes from ONE `quality` call over the
+     * survivors on this thread, after the shard stage (per-candidate
+     * performance still rides along inside the shard body when
+     * configured). The constructor's quality is not used.
      */
     StepEval evaluate(size_t step, const SampleBodyFn &body,
                       const QualityBatchFn &quality);
 
-    /** The underlying runner, for ordered sections inside bodies and
-     *  for non-evaluation steps (weight warm-up) that must share the
-     *  fault-injection step sequence. */
+    /** The underlying runner, for non-evaluation steps (weight
+     *  warm-up, W-steps) that must share the fault-injection step
+     *  sequence. */
     exec::ShardRunner &runner() { return _runner; }
 
     /** The persistent worker pool. */
@@ -280,9 +234,16 @@ class EvalEngine
      *  then the reward in shard-index order. */
     void finishStep(StepEval &ev);
 
+    /** Stage 1 under the fault-tolerant runner: draw, plus the
+     *  per-candidate quality (`withQuality`) and performance stages,
+     *  per shard — in the shard bodies on the thread path, in the
+     *  worker processes in proc mode. Fills in survivors. */
+    StepEval runShards(size_t step, const SampleBodyFn &body,
+                       bool withQuality);
+
     /** Proc-mode stage 1: draw coordinator-side, ship quality/perf to
      *  the worker processes. `withQuality` = ask workers for quality
-     *  (draw-only batched mode sends perf-only / ack requests). */
+     *  (the batched-quality overload sends perf-only / ack requests). */
     void runProcStage(size_t step, const SampleBodyFn &body,
                       bool withQuality, StepEval &ev);
 

@@ -1,8 +1,5 @@
 #include "exec/proc_runner.h"
 
-#include <chrono>
-#include <thread>
-
 #include "common/logging.h"
 
 namespace h2o::exec {
@@ -27,32 +24,13 @@ ProcRunner::runShardAttempts(size_t step, size_t shard, size_t worker,
 
         // Injected faults strike before encode, mirroring the thread
         // runtime (a preempted shard never draws its sample).
-        FaultKind fault = _injector
-                              ? _injector->decide(step, shard, attempt)
-                              : FaultKind::None;
-        if (fault == FaultKind::Preempt) {
-            _injector->record(fault);
-            st.result.state = ShardState::Degraded;
-            st.settled = true;
-            return true;
-        }
-        if (fault == FaultKind::Fail) {
-            _injector->record(fault);
-            if (attempt + 1 < _config.maxAttempts &&
-                _config.backoffBaseMs > 0.0) {
-                auto delay = std::chrono::duration<double, std::milli>(
-                    _config.backoffBaseMs *
-                    static_cast<double>(1ULL << attempt));
-                std::this_thread::sleep_for(delay);
-            }
+        AttemptAction action =
+            strikeAttempt(_injector, step, shard, attempt,
+                          _config.maxAttempts, _config.backoffBaseMs);
+        if (action == AttemptAction::Degrade)
+            break;
+        if (action == AttemptAction::Retry)
             continue;
-        }
-        if (fault == FaultKind::Straggle) {
-            _injector->record(fault);
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(
-                    _injector->config().stragglerDelayMs));
-        }
 
         try {
             // Encode at most once per step: a transport retry must
@@ -130,7 +108,7 @@ ProcRunner::runStep(size_t step, const ProcShardTask &task)
             }
         };
 
-        if (_config.inlineSingleWorker && procs == 1) {
+        if (procs == 1) {
             // One worker process: its lane is sequential anyway, so
             // drive the socket from the caller's thread directly.
             runWorkerLane(0);
@@ -156,9 +134,8 @@ ProcRunner::runStep(size_t step, const ProcShardTask &task)
     }
 
     // Apply responses in ascending shard order on this thread — the
-    // serialization order the thread path's OrderedSection admits
-    // shards, so decoders that touch shared state see the serial
-    // schedule.
+    // order the thread path's callers aggregate survivors in, so
+    // decoders that touch shared state see the serial schedule.
     StepReport report;
     report.shards.reserve(n);
     for (size_t s = 0; s < n; ++s) {

@@ -10,17 +10,17 @@
  * draw from the shard's policy stream), the named registered task runs
  * the pure heavy work inside a worker process, and `decode(shard,
  * response)` applies the result coordinator-side — after the step
- * barrier, in ascending shard order, which is the same serialization
- * order the thread path's OrderedSection admits shards. Worker tasks
- * are pure, so any worker count (including 1) produces byte-identical
- * results to the thread path.
+ * barrier, in ascending shard order, which is the order the thread
+ * path's callers aggregate survivors in. Worker tasks are pure, so any
+ * worker count (including 1) produces byte-identical results to the
+ * thread path.
  *
  * Fault semantics are the thread runtime's, extended across process
  * death:
  *  - Injected faults (FaultInjector) strike coordinator-side before
- *    encode, keyed on (step, shard, attempt) exactly as in
- *    ShardRunner::runShard — same decisions, same degradation pattern,
- *    same RNG non-advancement for preempted shards.
+ *    encode through the same strikeAttempt policy as ShardRunner —
+ *    same decisions, same degradation pattern, same RNG
+ *    non-advancement for preempted shards.
  *  - A task that THROWS in the worker counts as a thrown shard body:
  *    warn, consume the attempt, re-encode and retry (the thread path
  *    would also re-run the body).
@@ -81,8 +81,8 @@ class ProcRunner
      *                 It must not serve unrelated calls during
      *                 runStep().
      * @param config   Shard count and retry policy (shared struct with
-     *                 ShardRunner; inlineSingleWorker applies to a
-     *                 1-worker pool the same way).
+     *                 ShardRunner). A 1-worker transport is driven from
+     *                 the caller's thread.
      * @param injector Optional fault oracle; nullptr injects nothing.
      */
     ProcRunner(ShardTransport &pool, ShardRunnerConfig config,

@@ -1,60 +1,8 @@
 #include "exec/shard_runner.h"
 
-#include <chrono>
-#include <thread>
-
 #include "common/logging.h"
 
 namespace h2o::exec {
-
-// ------------------------------------------------------ OrderedSection
-
-void
-OrderedSection::reset(size_t n)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _done.assign(n, false);
-}
-
-void
-OrderedSection::waitTurn(size_t shard)
-{
-    std::unique_lock<std::mutex> lock(_mutex);
-    h2o_assert(shard < _done.size(), "shard out of range in OrderedSection");
-    _cv.wait(lock, [&] {
-        for (size_t i = 0; i < shard; ++i)
-            if (!_done[i])
-                return false;
-        return true;
-    });
-}
-
-void
-OrderedSection::markDone(size_t shard)
-{
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        _done[shard] = true;
-    }
-    _cv.notify_all();
-}
-
-void
-OrderedSection::skip(size_t shard)
-{
-    markDone(shard);
-}
-
-OrderedSection::Guard::Guard(OrderedSection &section, size_t shard)
-    : _section(section), _shard(shard)
-{
-    _section.waitTurn(shard);
-}
-
-OrderedSection::Guard::~Guard()
-{
-    _section.markDone(_shard);
-}
 
 // ---------------------------------------------------------- StepReport
 
@@ -96,32 +44,13 @@ ShardRunner::runShard(size_t step, size_t shard,
     ShardResult result;
     for (size_t attempt = 0; attempt < _config.maxAttempts; ++attempt) {
         result.attempts = attempt + 1;
-        FaultKind fault = _injector
-                              ? _injector->decide(step, shard, attempt)
-                              : FaultKind::None;
-        if (fault == FaultKind::Preempt) {
-            _injector->record(fault);
-            result.state = ShardState::Degraded;
-            _ordered.skip(shard);
-            return result;
-        }
-        if (fault == FaultKind::Fail) {
-            _injector->record(fault);
-            if (attempt + 1 < _config.maxAttempts &&
-                _config.backoffBaseMs > 0.0) {
-                auto delay = std::chrono::duration<double, std::milli>(
-                    _config.backoffBaseMs *
-                    static_cast<double>(1ULL << attempt));
-                std::this_thread::sleep_for(delay);
-            }
+        AttemptAction action =
+            strikeAttempt(_injector, step, shard, attempt,
+                          _config.maxAttempts, _config.backoffBaseMs);
+        if (action == AttemptAction::Degrade)
+            break;
+        if (action == AttemptAction::Retry)
             continue;
-        }
-        if (fault == FaultKind::Straggle) {
-            _injector->record(fault);
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(
-                    _injector->config().stragglerDelayMs));
-        }
         try {
             body(shard);
             result.state = attempt == 0 ? ShardState::Ok
@@ -133,7 +62,6 @@ ShardRunner::runShard(size_t step, size_t shard,
         }
     }
     result.state = ShardState::Degraded;
-    _ordered.skip(shard);
     return result;
 }
 
@@ -144,13 +72,11 @@ ShardRunner::runStep(size_t step,
     h2o_assert(body, "null shard body");
     StepReport report;
     report.shards.assign(_config.numShards, ShardResult{});
-    _ordered.reset(_config.numShards);
 
-    if (_config.inlineSingleWorker && _pool.size() == 1) {
-        // Single-worker fast path: run the shards inline in index
-        // order on this thread — exactly the order one FIFO worker
-        // would run them, with the same fault decisions and ordered-
-        // section admissions — skipping the cross-thread dispatch.
+    if (_pool.size() == 1) {
+        // One worker: run the shards inline in index order on this
+        // thread, skipping the submit/future/wake-up round trip per
+        // shard (there is nothing to overlap).
         for (size_t s = 0; s < _config.numShards; ++s)
             report.shards[s] = runShard(step, s, body);
         ++_inlineSteps;

@@ -4,79 +4,39 @@
  *
  * runStep() dispatches one task per shard onto a persistent ThreadPool,
  * barrier-waits for all of them (the cross-shard all-reduce point of
- * Figure 2), and reports which shards survived. The caller then performs
- * the cross-shard REINFORCE / gradient aggregation over the survivors in
- * shard-index order on its own thread — which is what keeps the
- * aggregation bit-for-bit identical to a serial run at any thread count.
+ * Figure 2), and reports which shards survived. A pool of one worker
+ * runs the shards inline on the calling thread in shard-index order
+ * instead (no cross-thread hand-off; nothing else is observable).
  *
- * Shared-resource regions (the weight-sharing super-network, the batch
- * pipeline) go through OrderedSection: a critical section that admits
- * shards strictly in index order. Execution inside the section is
- * therefore the exact serial order — same batches to the same shards,
- * same floating-point accumulation order into the shared gradients —
- * while everything outside the section (policy sampling from per-shard
- * streams, perf-model queries, reward computation) runs concurrently.
+ * Shard bodies touch shard-local state only (the shard's own RNG stream
+ * and output slots). Everything that touches shared state — the
+ * weight-sharing super-network, the batch pipeline, the cross-shard
+ * REINFORCE / gradient aggregation — runs on the caller's thread after
+ * runStep() returns, over report.survivors() in ascending shard order.
+ * That is what keeps results bit-for-bit identical to a serial run at
+ * any thread count.
  *
  * Fault tolerance: when a FaultInjector is attached, each shard attempt
  * may be failed (retry with exponential backoff, up to maxAttempts),
- * straggled (delayed), or preempted (shard lost for the step). A shard
- * whose attempts are exhausted is reported Degraded; the caller
- * aggregates over the surviving shards with scaled baselines. Injected
- * faults strike BEFORE the shard body executes, so a failed attempt
- * leaves no partial side effects. Thrown exceptions from the body are
- * treated as real failures and retried the same way.
+ * straggled (delayed), or preempted (shard lost for the step) — see
+ * strikeAttempt. A shard whose attempts are exhausted is reported
+ * Degraded; the caller aggregates over the surviving shards with scaled
+ * baselines. Injected faults strike BEFORE the shard body executes, so a
+ * failed attempt leaves no partial side effects. Thrown exceptions from
+ * the body are treated as real failures and retried the same way.
  */
 
 #ifndef H2O_EXEC_SHARD_RUNNER_H
 #define H2O_EXEC_SHARD_RUNNER_H
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <mutex>
 #include <vector>
 
 #include "exec/fault_injector.h"
 #include "exec/thread_pool.h"
 
 namespace h2o::exec {
-
-/**
- * Admits shards strictly in index order; used for the shared-supernet
- * and pipeline regions of a shard body. A degraded shard's turn is
- * skipped by the runner so later shards are not stuck waiting for it.
- */
-class OrderedSection
-{
-  public:
-    /** Prepare the section for a step over n shards. Not thread-safe. */
-    void reset(size_t n);
-
-    /** Mark a shard's turn as forfeited (it will never enter). */
-    void skip(size_t shard);
-
-    /** RAII turn: blocks until every lower-indexed shard is done. */
-    class Guard
-    {
-      public:
-        Guard(OrderedSection &section, size_t shard);
-        ~Guard();
-        Guard(const Guard &) = delete;
-        Guard &operator=(const Guard &) = delete;
-
-      private:
-        OrderedSection &_section;
-        size_t _shard;
-    };
-
-  private:
-    void markDone(size_t shard);
-    void waitTurn(size_t shard);
-
-    std::mutex _mutex;
-    std::condition_variable _cv;
-    std::vector<bool> _done;
-};
 
 /** Per-shard result of one step. */
 enum class ShardState {
@@ -115,18 +75,6 @@ struct ShardRunnerConfig
     size_t maxAttempts = 3;
     /** Exponential backoff base between retries, in milliseconds. */
     double backoffBaseMs = 0.5;
-    /**
-     * On a pool of ONE worker, run the step's shards inline on the
-     * calling thread in shard-index order instead of dispatching them
-     * across threads. Semantically identical to dispatch — a single
-     * FIFO worker also runs shards 0..N-1 sequentially, fault
-     * decisions key on (step, shard, attempt) alone, and ordered
-     * sections are entered in ascending order either way — but skips
-     * the submit/future/wake-up round trip per shard, which is pure
-     * overhead when there is nothing to overlap. Disable to force
-     * dispatch (the equivalence tests A/B the two paths).
-     */
-    bool inlineSingleWorker = true;
 };
 
 /**
@@ -137,10 +85,7 @@ class ShardRunner
 {
   public:
     /**
-     * @param pool     Persistent worker pool (outlives the runner). The
-     *                 pool must not run unrelated work during runStep():
-     *                 ordered sections rely on FIFO dispatch of the
-     *                 step's own shard tasks.
+     * @param pool     Persistent worker pool (outlives the runner).
      * @param config   Shard count and retry policy.
      * @param injector Optional fault oracle; nullptr injects nothing.
      */
@@ -149,16 +94,12 @@ class ShardRunner
 
     /**
      * Execute `body(shard)` for every shard of one step and barrier-wait
-     * for all of them. The body may carve out ordered sub-regions with
-     * `OrderedSection::Guard guard(runner.ordered(), shard)`.
+     * for all of them. The body must touch shard-local state only.
      *
      * @param step Step index, used to key fault-injection decisions.
      */
     StepReport runStep(size_t step,
                        const std::function<void(size_t shard)> &body);
-
-    /** The step-scoped ordered section (reset by every runStep). */
-    OrderedSection &ordered() { return _ordered; }
 
     /** Shard count. */
     size_t numShards() const { return _config.numShards; }
@@ -166,9 +107,8 @@ class ShardRunner
     /** Cumulative count of degraded (lost) shard-steps. */
     uint64_t degradedShardSteps() const { return _degradedShardSteps; }
 
-    /** Steps executed inline on the caller's thread (single-worker
-     *  fast path) / via pool dispatch — telemetry for the benches and
-     *  the inline-equivalence tests. */
+    /** Steps executed inline on the caller's thread (one-worker pool) /
+     *  via pool dispatch — telemetry for the benches and tests. */
     uint64_t inlineSteps() const { return _inlineSteps; }
     uint64_t dispatchedSteps() const { return _dispatchedSteps; }
 
@@ -179,7 +119,6 @@ class ShardRunner
     ThreadPool &_pool;
     ShardRunnerConfig _config;
     FaultInjector *_injector;
-    OrderedSection _ordered;
     uint64_t _degradedShardSteps = 0;
     uint64_t _inlineSteps = 0;
     uint64_t _dispatchedSteps = 0;

@@ -9,9 +9,8 @@ namespace h2o::exec {
 
 ThreadPool::ThreadPool(size_t threads)
 {
-    if (threads == 0) {
-        threads = std::max(1u, std::thread::hardware_concurrency());
-    }
+    if (threads == 0)
+        threads = common::parallelWidth();
     _workers.reserve(threads);
     for (size_t i = 0; i < threads; ++i)
         _workers.emplace_back([this] { workerLoop(); });
@@ -66,9 +65,7 @@ ThreadPool::workerLoop()
 size_t
 ThreadPool::resolve(size_t requested, size_t work_items)
 {
-    size_t threads = requested;
-    if (threads == 0)
-        threads = std::max(1u, std::thread::hardware_concurrency());
+    size_t threads = requested ? requested : common::parallelWidth();
     return std::max<size_t>(1, std::min(threads, std::max<size_t>(
                                                      1, work_items)));
 }

@@ -3,18 +3,11 @@
  * Persistent fixed-size worker pool for the search runtime.
  *
  * The paper's searcher runs each step across 128 accelerator shards; this
- * repository's shards are tasks on a ThreadPool. Two properties matter
- * more than raw throughput:
- *
- *  1. FIFO dispatch: tasks start in submission order. ShardRunner's
- *     deterministic ordered sections rely on this to stay deadlock-free
- *     when there are more shards than workers (a shard only ever waits on
- *     lower-indexed shards, which were submitted — and therefore
- *     dispatched — earlier).
- *  2. Deterministic RNG splitting: splitRngs() derives the per-shard
- *     random streams from the parent stream alone, never from thread
- *     identity or timing, so a search produces bit-identical results at
- *     any pool size (including 1).
+ * repository's shards are tasks on a ThreadPool. Tasks start in
+ * submission (FIFO) order, and splitRngs() derives the per-shard random
+ * streams from the parent stream alone, never from thread identity or
+ * timing, so a search produces bit-identical results at any pool size
+ * (including 1).
  *
  * Workers are created once and reused across all steps of a search,
  * replacing the per-step std::thread spawning the searchers used before.
@@ -41,7 +34,8 @@ class ThreadPool
 {
   public:
     /**
-     * @param threads Worker count; 0 means one per hardware thread.
+     * @param threads Worker count; 0 means one per CPU in the process's
+     *                affinity mask (common::parallelWidth()).
      */
     explicit ThreadPool(size_t threads = 0);
 
@@ -61,9 +55,10 @@ class ThreadPool
     std::future<void> submit(std::function<void()> task);
 
     /**
-     * Resolve a --threads style request: 0 means all hardware threads;
-     * the result is clamped to [1, work_items] so a search never holds
-     * more workers than it has shards.
+     * Resolve a --threads style request: 0 means one per CPU in the
+     * affinity mask (common::parallelWidth()); the result is clamped to
+     * [1, work_items] so a search never holds more workers than it has
+     * shards.
      */
     static size_t resolve(size_t requested, size_t work_items);
 

@@ -5,7 +5,6 @@
 #include "common/stats.h"
 #include "eval/eval_engine.h"
 #include "exec/checkpoint.h"
-#include "exec/fault_injector.h"
 #include "exec/shard_runner.h"
 #include "exec/thread_pool.h"
 #include "search/stepwise.h"
@@ -27,20 +26,10 @@ class H2oDlrmStepper final : public StepwiseSearch
     static eval::EvalEngineConfig
     engineConfig(const H2oSearchConfig &c)
     {
-        if ((c.procs > 0 || !c.workers.empty()) && !c.batchedQuality)
-            h2o_fatal("procs > 0 or remote workers require "
-                      "batchedQuality: the per-shard quality body "
-                      "closes over the shared supernet, which cannot "
-                      "cross the process boundary");
         eval::EvalEngineConfig ec;
+        static_cast<exec::RunOptions &>(ec) = c;
         ec.numShards = c.numShards;
         ec.threads = c.threads;
-        ec.multithread = true;
-        ec.faults = c.faults;
-        ec.maxShardAttempts = c.maxShardAttempts;
-        ec.retryBackoffMs = c.retryBackoffMs;
-        ec.procs = c.procs;
-        ec.workers = c.workers;
         return ec;
     }
 
@@ -51,10 +40,9 @@ class H2oDlrmStepper final : public StepwiseSearch
           // exactly as the serial implementation always did,
           // independent of thread count.
           _rngs(exec::ThreadPool::splitRngs(rng, owner._config.numShards)),
-          // The candidate -> reward pipeline: per-shard quality
-          // (supernet forward in the ordered section) on the engine's
-          // worker pool, then one batched performance + reward pass per
-          // step.
+          // The candidate -> reward pipeline: per-shard draws on the
+          // engine's worker pool, then one coordinator-side supernet
+          // pass and one batched performance + reward pass per step.
           _engine(owner._perf, owner._reward,
                   engineConfig(owner._config))
     {
@@ -67,33 +55,27 @@ class H2oDlrmStepper final : public StepwiseSearch
         if (done())
             return false;
         auto &cfg = _owner._config;
-        exec::ShardRunner &runner = _engine.runner();
 
         // --- Warm-up: train shared weights on uniformly-sampled
         // candidates so early rewards reflect architecture, not
-        // initialization. Shards run concurrently; the shared supernet
-        // + pipeline region is entered in shard-index order, so batches
-        // and gradient accumulation match the serial schedule exactly.
-        // Warm-up shares the engine's runner so the fault-injection
-        // step sequence stays contiguous.
+        // initialization. Shard bodies only draw (concurrently); the
+        // supernet + pipeline work then runs here over the survivors in
+        // ascending shard order, so batches and gradient accumulation
+        // match the serial schedule exactly. Warm-up shares the engine's
+        // runner so the fault-injection step sequence stays contiguous.
         if (!_warmed) {
+            std::vector<searchspace::Sample> samples(cfg.numShards);
             for (size_t w = 0; w < cfg.warmupSteps; ++w) {
-                auto report = runner.runStep(w, [&](size_t s) {
-                    auto sample =
+                auto report = _engine.runner().runStep(w, [&](size_t s) {
+                    samples[s] =
                         _owner._space.decisions().uniformSample(_rngs[s]);
-                    exec::OrderedSection::Guard guard(runner.ordered(),
-                                                      s);
-                    auto lease = _owner._pipeline.lease();
-                    _owner._supernet.configure(sample);
-                    (void)_owner._supernet.accumulateGradients(
-                        lease.batch());
-                    lease.markAlphaUse();
-                    lease.markWeightUse();
                 });
-                size_t live = report.numOk();
-                if (live > 0) {
+                const auto live = report.survivors();
+                for (size_t s : live)
+                    (void)train(samples[s]);
+                if (!live.empty()) {
                     _owner._supernet.applyGradients(
-                        cfg.weightLr / static_cast<double>(live));
+                        cfg.weightLr / static_cast<double>(live.size()));
                 }
             }
             _warmed = true;
@@ -107,57 +89,25 @@ class H2oDlrmStepper final : public StepwiseSearch
         // Stage (1). The H2O quality signal is GRAD-CARRYING: each
         // candidate's forward+backward on a FRESH batch both measures
         // quality (alpha use) and accumulates the shared-weight
-        // gradients (W use), in that mandatory order. Two execution
-        // modes, bit-identical at the same seed:
-        //
-        //  - batched (default): shard bodies only draw their samples
-        //    (per-shard RNG streams and fault semantics unchanged);
-        //    the lease/configure/accumulate sequence then runs as ONE
-        //    coordinator-side pass over the survivors in ascending
-        //    shard order — the order the ordered section admits shards
-        //    — with no per-shard ordered-section hand-offs.
-        //  - per-shard: the sequence runs inside each shard body under
-        //    the ordered section (the historical path, kept for A/B).
-        auto ev =
-            cfg.batchedQuality
-                ? _engine.evaluate(
-                      cfg.warmupSteps + step,
-                      [&](size_t s, searchspace::Sample &sample) {
-                          sample = _controller.policy().sample(_rngs[s]);
-                      },
-                      [&](std::span<const size_t> shards,
-                          std::span<const searchspace::Sample> samples) {
-                          std::vector<double> qs(samples.size());
-                          for (size_t i = 0; i < samples.size(); ++i) {
-                              auto lease = _owner._pipeline.lease();
-                              _owner._supernet.configure(samples[i]);
-                              losses[shards[i]] =
-                                  _owner._supernet.accumulateGradients(
-                                      lease.batch());
-                              lease.markAlphaUse();
-                              lease.markWeightUse();
-                              qs[i] = -losses[shards[i]];
-                          }
-                          return qs;
-                      })
-                : _engine.evaluate(
-                      cfg.warmupSteps + step,
-                      [&](size_t s, searchspace::Sample &sample,
-                          double &quality) {
-                          sample = _controller.policy().sample(_rngs[s]);
-                          {
-                              exec::OrderedSection::Guard guard(
-                                  runner.ordered(), s);
-                              auto lease = _owner._pipeline.lease();
-                              _owner._supernet.configure(sample);
-                              losses[s] =
-                                  _owner._supernet.accumulateGradients(
-                                      lease.batch());
-                              lease.markAlphaUse();
-                              lease.markWeightUse();
-                          }
-                          quality = -losses[s]; // negated log-loss
-                      });
+        // gradients (W use), in that mandatory order. Shard bodies only
+        // draw their samples (per-shard RNG streams, fault semantics);
+        // the lease/configure/accumulate sequence then runs as ONE
+        // coordinator-side pass over the survivors in ascending shard
+        // order.
+        auto ev = _engine.evaluate(
+            cfg.warmupSteps + step,
+            [&](size_t s, searchspace::Sample &sample) {
+                sample = _controller.policy().sample(_rngs[s]);
+            },
+            [&](std::span<const size_t> shards,
+                std::span<const searchspace::Sample> samples) {
+                std::vector<double> qs(samples.size());
+                for (size_t i = 0; i < samples.size(); ++i) {
+                    losses[shards[i]] = train(samples[i]);
+                    qs[i] = -losses[shards[i]]; // negated log-loss
+                }
+                return qs;
+            });
         ++_next;
 
         // Graceful degradation: aggregate over the shards that survived
@@ -336,6 +286,20 @@ class H2oDlrmStepper final : public StepwiseSearch
   private:
     static constexpr uint64_t kCheckpointVersion = 1;
     static constexpr uint64_t kCheckpointVersionMulti = 2;
+
+    /** One candidate's forward+backward on a fresh pipeline batch:
+     *  accumulates the shared-weight gradients and returns the loss.
+     *  The batch informs alpha before it trains W (the lease's order
+     *  contract). */
+    double train(const searchspace::Sample &sample)
+    {
+        auto lease = _owner._pipeline.lease();
+        _owner._supernet.configure(sample);
+        double loss = _owner._supernet.accumulateGradients(lease.batch());
+        lease.markAlphaUse();
+        lease.markWeightUse();
+        return loss;
+    }
 
     H2oDlrmSearch &_owner;
     controller::ReinforceController _controller;

@@ -24,12 +24,12 @@
  * replaces the train/validation split (Section 4.1).
  *
  * Execution model: steps run on the h2o::exec runtime. Shards of one
- * step execute concurrently on a persistent worker pool (threads stand
- * in for TPU cores); policy sampling, perf-model queries and reward
- * computation are fully parallel, while the shared super-network and the
- * batch pipeline are entered through a deterministic shard-index-ordered
- * critical section. The cross-shard aggregation therefore stays
- * bit-for-bit identical to a serial run at any thread count. With a
+ * step draw their candidates concurrently on a persistent worker pool
+ * (threads stand in for TPU cores), with per-candidate perf-model queries
+ * riding along; the shared super-network and the batch pipeline are then
+ * entered on the coordinator, once per surviving shard in ascending
+ * shard order. The cross-shard aggregation therefore stays bit-for-bit
+ * identical to a serial run at any thread count. With a
  * FaultInjector attached, the runtime also reproduces the paper's
  * preemptible-fleet reality: failed shards retry with backoff, preempted
  * shards are dropped and the step aggregates over the survivors with
@@ -48,13 +48,12 @@
 
 #include "common/rng.h"
 #include "controller/reinforce.h"
+#include "exec/run_options.h"
 #include "pipeline/pipeline.h"
 #include "reward/reward.h"
 #include "search/surrogate_search.h"
 #include "searchspace/dlrm_space.h"
 #include "supernet/dlrm_supernet.h"
-
-namespace h2o::exec { class FaultInjector; }
 
 namespace h2o::search {
 
@@ -64,8 +63,11 @@ using DlrmPerfFn = PerfFn;
 /** Batched performance stage (one call per step over the survivors). */
 using DlrmPerfBatchFn = PerfBatchFn;
 
-/** Configuration of the unified single-step search. */
-struct H2oSearchConfig
+/** Configuration of the unified single-step search. The fleet and
+ *  retry options (exec::RunOptions) reach the shard stage unchanged;
+ *  worker processes and daemons run the pure per-candidate work, while
+ *  the supernet stays coordinator-side. */
+struct H2oSearchConfig : exec::RunOptions
 {
     size_t numShards = 8;      ///< virtual accelerators per step
     size_t numSteps = 200;
@@ -75,40 +77,10 @@ struct H2oSearchConfig
     size_t warmupSteps = 30;
     controller::ReinforceConfig rl{};
 
-    /**
-     * Batched quality stage: shard bodies only DRAW their candidates
-     * (so fault/RNG semantics are unchanged), and the step's gradient
-     * accumulation runs as one coordinator-side pass over the survivors
-     * in ascending shard order — exactly the order the per-shard path's
-     * ordered section serializes to, so results are bit-identical at
-     * any thread count. Disable to A/B against the per-shard path.
-     */
-    bool batchedQuality = true;
-
-    // --- Execution runtime (h2o::exec).
-    /** Worker threads for shard evaluation; 0 = one per hardware
-     *  thread. Clamped to numShards. Any value yields bit-identical
-     *  results at the same seed. */
+    /** Worker threads for the shard draws and per-candidate perf; 0 =
+     *  one per CPU in the affinity mask. Clamped to numShards. Any
+     *  value yields bit-identical results at the same seed. */
     size_t threads = 0;
-    /** Worker PROCESSES for the shard stage (multi-process transport,
-     *  see eval::EvalEngineConfig::procs). 0 = in-process threads.
-     *  Requires batchedQuality — the supernet forward needs the shared
-     *  weights, which live coordinator-side; shard bodies then only
-     *  draw (coordinator) while workers run the pure per-candidate
-     *  work. Any value is byte-identical. */
-    size_t procs = 0;
-    /** Remote worker daemons for the shard stage, comma-separated
-     *  ("host:port" or "local"; eval::EvalEngineConfig::workers).
-     *  Combines with procs into one mixed pool. Requires
-     *  batchedQuality for the same reason procs does. Empty = none;
-     *  any fleet shape is byte-identical. */
-    std::string workers;
-    /** Optional fault oracle (preemptible-fleet emulation); not owned. */
-    exec::FaultInjector *faults = nullptr;
-    /** Max attempts per shard per step before it is dropped. */
-    size_t maxShardAttempts = 3;
-    /** Exponential retry backoff base, in milliseconds. */
-    double retryBackoffMs = 0.5;
 
     // --- Checkpoint/resume.
     /** Checkpoint file; empty disables checkpointing. When the file

@@ -22,14 +22,9 @@ class SurrogateStepper final : public StepwiseSearch
     engineConfig(const SurrogateSearchConfig &c)
     {
         eval::EvalEngineConfig ec;
+        static_cast<exec::RunOptions &>(ec) = c;
         ec.numShards = c.samplesPerStep;
         ec.threads = c.threads;
-        ec.multithread = c.multithread;
-        ec.faults = c.faults;
-        ec.maxShardAttempts = c.maxShardAttempts;
-        ec.retryBackoffMs = c.retryBackoffMs;
-        ec.procs = c.procs;
-        ec.workers = c.workers;
         return ec;
     }
 
@@ -57,7 +52,7 @@ class SurrogateStepper final : public StepwiseSearch
         // the shard body on the thread path, inside the worker processes
         // when procs > 0 (the engine holds the pure quality functor; the
         // draw stays coordinator-side either way). Shards share no
-        // mutable state, so no ordered section is needed here.
+        // mutable state.
         auto ev = _engine.evaluate(
             step, [&](size_t s, searchspace::Sample &sample) {
                 sample = _controller.policy().sample(_rngs[s]);

@@ -27,11 +27,10 @@
 #include "common/rng.h"
 #include "controller/reinforce.h"
 #include "eval/eval_engine.h"
+#include "exec/run_options.h"
 #include "reward/reward.h"
 #include "search/pareto.h"
 #include "searchspace/decision_space.h"
-
-namespace h2o::exec { class FaultInjector; }
 
 namespace h2o::search {
 
@@ -93,37 +92,18 @@ struct SearchOutcome
     std::vector<TargetFront> targetFronts;
 };
 
-/** Search configuration. */
-struct SurrogateSearchConfig
+/** Search configuration. With worker processes or daemons
+ *  (exec::RunOptions) the quality and per-candidate performance
+ *  functions run inside the workers, so they must be pure. */
+struct SurrogateSearchConfig : exec::RunOptions
 {
     size_t numSteps = 200;
     size_t samplesPerStep = 16; ///< parallel shards per step
     controller::ReinforceConfig rl{};
-    /** Evaluate shards on the worker pool; false forces a pool of one
-     *  worker (results are bit-identical either way). */
-    bool multithread = true;
-    /** Worker threads when multithread; 0 = one per hardware thread.
-     *  Clamped to samplesPerStep. When the pool resolves to ONE worker
-     *  the engine runs shard bodies inline on the caller's thread
-     *  (eval::EvalEngineConfig::inlineSingleThread) — same results,
-     *  no cross-thread dispatch. */
+    /** Worker threads; 0 = one per CPU in the affinity mask. Clamped
+     *  to samplesPerStep. One worker runs the shard bodies inline on
+     *  the caller's thread. Any value yields bit-identical results. */
     size_t threads = 0;
-    /** Worker PROCESSES for the shard stage (multi-process transport;
-     *  see eval::EvalEngineConfig::procs). 0 = in-process threads.
-     *  Quality and per-candidate performance must be pure — they run
-     *  inside forked workers. Any value is byte-identical. */
-    size_t procs = 0;
-    /** Remote worker daemons for the shard stage, comma-separated
-     *  ("host:port" or "local"; eval::EvalEngineConfig::workers).
-     *  Combines with procs into one mixed pool. Empty = none; any
-     *  fleet shape is byte-identical. */
-    std::string workers;
-    /** Optional fault oracle (preemptible-fleet emulation); not owned. */
-    exec::FaultInjector *faults = nullptr;
-    /** Max attempts per shard per step before it is dropped. */
-    size_t maxShardAttempts = 3;
-    /** Exponential retry backoff base, in milliseconds. */
-    double retryBackoffMs = 0.5;
     /** Joint multi-target annotation; disabled (empty) by default. */
     MultiTargetSpec multiTarget{};
 };
@@ -134,7 +114,7 @@ class SurrogateSearch
   public:
     /**
      * @param space   Decision space.
-     * @param quality Quality signal (must be thread-safe if multithread).
+     * @param quality Quality signal (thread-safe when threads != 1).
      * @param perf    Performance signal (same thread-safety requirement).
      *                Runs per candidate INSIDE the shard body, so a
      *                blocking function (device-in-the-loop) overlaps

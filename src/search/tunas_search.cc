@@ -3,7 +3,6 @@
 #include "common/logging.h"
 #include "common/serialize.h"
 #include "eval/eval_engine.h"
-#include "exec/fault_injector.h"
 #include "exec/shard_runner.h"
 #include "exec/thread_pool.h"
 #include "search/stepwise.h"
@@ -23,20 +22,10 @@ class TunasStepper final : public StepwiseSearch
     static eval::EvalEngineConfig
     engineConfig(const TunasSearchConfig &c)
     {
-        if ((c.procs > 0 || !c.workers.empty()) && !c.batchedQuality)
-            h2o_fatal("procs > 0 or remote workers require "
-                      "batchedQuality: the per-shard quality body "
-                      "closes over the shared supernet, which cannot "
-                      "cross the process boundary");
         eval::EvalEngineConfig ec;
+        static_cast<exec::RunOptions &>(ec) = c;
         ec.numShards = 1;
         ec.threads = 1;
-        ec.multithread = false;
-        ec.faults = c.faults;
-        ec.maxShardAttempts = c.maxShardAttempts;
-        ec.retryBackoffMs = c.retryBackoffMs;
-        ec.procs = c.procs;
-        ec.workers = c.workers;
         return ec;
     }
 
@@ -89,40 +78,25 @@ class TunasStepper final : public StepwiseSearch
             _owner._supernet.applyGradients(cfg.weightLr);
         });
         // --- pi-step on a separate "validation" batch (never trains W):
-        // pure no-grad candidate evaluation. In batched mode (default)
-        // the shard body only draws the sample and the supernet's packed
-        // multi-candidate pass computes the quality; per-candidate mode
-        // calls evaluate() inside the shard body. Bit-identical.
-        auto ev =
-            cfg.batchedQuality
-                ? _engine.evaluate(
-                      cfg.warmupSteps + 2 * iter + 1,
-                      [&](size_t, searchspace::Sample &sample) {
-                          sample = _controller.policy().sample(_sampleRng);
-                      },
-                      [&](std::span<const size_t>,
-                          std::span<const searchspace::Sample> samples) {
-                          auto lease = _owner._pipeline.lease();
-                          auto res = _owner._supernet.evaluateBatch(
-                              samples, lease.batch());
-                          lease.markAlphaUse();
-                          std::vector<double> qs(res.size());
-                          for (size_t i = 0; i < res.size(); ++i)
-                              qs[i] = res[i].quality();
-                          return qs;
-                      })
-                : _engine.evaluate(
-                      cfg.warmupSteps + 2 * iter + 1,
-                      [&](size_t, searchspace::Sample &sample,
-                          double &quality) {
-                          sample = _controller.policy().sample(_sampleRng);
-                          auto lease = _owner._pipeline.lease();
-                          _owner._supernet.configure(sample);
-                          auto eval_res =
-                              _owner._supernet.evaluate(lease.batch());
-                          lease.markAlphaUse();
-                          quality = eval_res.quality();
-                      });
+        // pure no-grad candidate evaluation. The shard body only draws
+        // the sample; the supernet's packed multi-candidate pass computes
+        // the quality.
+        auto ev = _engine.evaluate(
+            cfg.warmupSteps + 2 * iter + 1,
+            [&](size_t, searchspace::Sample &sample) {
+                sample = _controller.policy().sample(_sampleRng);
+            },
+            [&](std::span<const size_t>,
+                std::span<const searchspace::Sample> samples) {
+                auto lease = _owner._pipeline.lease();
+                auto res =
+                    _owner._supernet.evaluateBatch(samples, lease.batch());
+                lease.markAlphaUse();
+                std::vector<double> qs(res.size());
+                for (size_t i = 0; i < res.size(); ++i)
+                    qs[i] = res[i].quality();
+                return qs;
+            });
         ++_next;
         if (ev.survivors.empty())
             return !done(); // preempted pi-step: the iteration is lost

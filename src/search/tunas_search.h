@@ -23,46 +23,27 @@
 
 #include "common/rng.h"
 #include "controller/reinforce.h"
+#include "exec/run_options.h"
 #include "pipeline/pipeline.h"
 #include "reward/reward.h"
 #include "search/surrogate_search.h"
 #include "searchspace/dlrm_space.h"
 #include "supernet/dlrm_supernet.h"
 
-namespace h2o::exec { class FaultInjector; }
-
 namespace h2o::search {
 
-/** Configuration of the alternating baseline. */
-struct TunasSearchConfig
+/** Configuration of the alternating baseline. TuNAS runs one shard: the
+ *  fleet options (exec::RunOptions) serve its pi-step with at most one
+ *  worker, and an injected fault strikes the whole warm-up, W- or
+ *  pi-step (a preempted step is simply lost). The pi-step's quality
+ *  comes from the supernet's packed multi-candidate pass
+ *  (DlrmSupernet::evaluateBatch) on the coordinator. */
+struct TunasSearchConfig : exec::RunOptions
 {
     size_t numIterations = 200; ///< one W-step + one pi-step each
     double weightLr = 0.05;
     size_t warmupSteps = 30;
     controller::ReinforceConfig rl{};
-    /** Run the pi-step's candidate evaluation through the supernet's
-     *  packed multi-candidate pass (DlrmSupernet::evaluateBatch) instead
-     *  of a per-candidate evaluate() call. Bit-identical results (TuNAS
-     *  evaluates one candidate per step, so this exercises the n=1
-     *  packed path); disable to A/B. */
-    bool batchedQuality = true;
-    /** Worker PROCESSES for the pi-step's shard stage (multi-process
-     *  transport; clamped to the single TuNAS shard, so at most one
-     *  worker forks). Requires batchedQuality — the supernet lives
-     *  coordinator-side. 0 = in-process. Byte-identical either way. */
-    size_t procs = 0;
-    /** Remote worker daemons for the pi-step's shard stage,
-     *  comma-separated ("host:port" or "local";
-     *  eval::EvalEngineConfig::workers). Requires batchedQuality like
-     *  procs. Empty = none; byte-identical either way. */
-    std::string workers;
-    /** Optional fault oracle; TuNAS has a single (non-sharded) worker,
-     *  so a preempted step is simply lost. Not owned. */
-    exec::FaultInjector *faults = nullptr;
-    /** Max attempts per step before it is dropped. */
-    size_t maxShardAttempts = 3;
-    /** Exponential retry backoff base, in milliseconds. */
-    double retryBackoffMs = 0.5;
     /** Joint multi-target annotation; disabled (empty) by default. */
     MultiTargetSpec multiTarget{};
 };

@@ -59,7 +59,7 @@ ZeroTouchOptimizer::optimize(const LaunchCriteria &criteria,
     scfg.samplesPerStep = config.samplesPerStep;
     scfg.rl.learningRate = config.learningRate;
     scfg.rl.entropyWeight = config.entropyWeight;
-    scfg.multithread = false; // deterministic; evaluation dominates
+    scfg.threads = 1; // inline; evaluation dominates
     SurrogateSearch search(_space, _quality, perf_fn, rwd, scfg);
     auto outcome = search.run(rng);
 

@@ -218,7 +218,6 @@ class DlrmSurrogateJob final : public DlrmJobBase
         // Steps run inline on the scheduler's worker: concurrency comes
         // from the server running MANY jobs, not from one job fanning
         // out (and the engine's inline path means no nested pools).
-        cfg.multithread = false;
         cfg.threads = 1;
         cfg.procs = spec.procs;
         cfg.workers = spec.workers;
@@ -287,7 +286,6 @@ class DlrmSupernetJob final : public DlrmSupernetJobBase
         cfg.warmupSteps = 4;
         cfg.rl.learningRate = spec.learningRate;
         cfg.rl.entropyWeight = spec.entropyWeight;
-        cfg.batchedQuality = spec.batchedQuality;
         cfg.threads = 1; // see DlrmSurrogateJob::config
         cfg.procs = spec.procs;
         cfg.workers = spec.workers;
@@ -321,7 +319,6 @@ class DlrmTunasJob final : public DlrmSupernetJobBase
         cfg.warmupSteps = 4;
         cfg.rl.learningRate = spec.learningRate;
         cfg.rl.entropyWeight = spec.entropyWeight;
-        cfg.batchedQuality = spec.batchedQuality;
         cfg.procs = spec.procs;
         cfg.workers = spec.workers;
         cfg.multiTarget = multiTargetSpec();

@@ -66,19 +66,14 @@ struct JobSpec
     double modelSizeTargetRel = 1.0;
     double learningRate = 0.08;
     double entropyWeight = 5e-3;
-    /** Batched quality stage for the supernet kinds: one coordinator-
-     *  side pass per step over the step's sampled candidates instead of
-     *  per-shard supernet entry. Bit-identical results either way (the
-     *  server's determinism contract is unaffected); disable to A/B. */
-    bool batchedQuality = true;
     /** Worker PROCESSES for the job's shard stage (the multi-process
      *  transport; see eval::EvalEngineConfig::procs). 0 — the default,
      *  and the right choice for load tests — keeps the job in-process
      *  on the scheduler's worker. >= 1 forks that many workers for THIS
      *  job (clamped to samplesPerStep); results are byte-identical
      *  either way, so the server's determinism contract is unaffected.
-     *  The supernet kinds additionally require batchedQuality (the
-     *  shared weights live coordinator-side). */
+     *  The supernet kinds keep their shared weights coordinator-side
+     *  and ship only the pure per-candidate work. */
     size_t procs = 0;
     /** Remote worker daemons for the job's shard stage, comma-separated
      *  ("host:port" or "local"; eval::EvalEngineConfig::workers).

@@ -58,8 +58,8 @@ namespace h2o::serve {
 /** Server configuration. */
 struct ServeConfig
 {
-    /** Worker threads of the shared pool; 0 = one per hardware thread.
-     *  Results are bit-identical at any value. */
+    /** Worker threads of the shared pool; 0 = one per CPU in the
+     *  affinity mask. Results are bit-identical at any value. */
     size_t threads = 0;
     /** Concurrency slots: jobs running per round (k). */
     size_t maxConcurrentJobs = 4;

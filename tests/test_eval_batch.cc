@@ -209,7 +209,6 @@ runBatchedSearch(size_t threads)
     sr::SurrogateSearchConfig cfg;
     cfg.numSteps = 60;
     cfg.samplesPerStep = 8;
-    cfg.multithread = true;
     cfg.threads = threads;
     cfg.rl.learningRate = 0.15;
     ev::PerfBatchFn perf_batch =
@@ -256,20 +255,19 @@ TEST(EvalEngine, BatchPathBitIdenticalAcrossThreadCounts)
 
 namespace {
 
-/** One engine run (threads=1) with faults and an ordered section; the
- *  `inline_path` flag A/Bs the caller-thread fast path against forced
- *  pool dispatch. Returns everything observable. */
-struct InlineRunResult
+/** One engine run with faults; threads = 1 takes the caller-thread
+ *  inline path, threads > 1 dispatches to the pool. Returns everything
+ *  observable. */
+struct EngineRunResult
 {
     std::vector<ev::StepEval> evals;
-    std::vector<size_t> ordered_entries; ///< shard ids, in entry order
-    std::vector<double> rng_probes;      ///< post-run per-shard draws
+    std::vector<double> rng_probes; ///< post-run per-shard draws
     uint64_t inline_steps = 0;
     uint64_t dispatched_steps = 0;
 };
 
-InlineRunResult
-runSingleWorker(bool inline_path)
+EngineRunResult
+runFaultyEngine(size_t threads)
 {
     ToyTask task;
     rw::ReluReward reward({{"cost", 2.0, -2.0}});
@@ -278,9 +276,8 @@ runSingleWorker(bool inline_path)
 
     ev::EvalEngineConfig cfg;
     cfg.numShards = shards;
-    cfg.threads = 1;
+    cfg.threads = threads;
     cfg.faults = &faults;
-    cfg.inlineSingleThread = inline_path;
     ev::PerfBatchFn perf_batch =
         [&](std::span<const ss::Sample> samples) {
             std::vector<std::vector<double>> out;
@@ -288,23 +285,19 @@ runSingleWorker(bool inline_path)
                 out.push_back(task.perf(s));
             return out;
         };
-    ev::EvalEngine engine(perf_batch, reward, cfg);
+    ev::EvalEngine engine(
+        perf_batch, reward, cfg,
+        [&](const ss::Sample &s) { return task.quality(s); });
 
     std::vector<Rng> shard_rngs;
     for (size_t s = 0; s < shards; ++s)
         shard_rngs.emplace_back(300 + s);
 
-    InlineRunResult run;
+    EngineRunResult run;
     for (size_t step = 0; step < steps; ++step) {
         run.evals.push_back(engine.evaluate(
-            step, [&](size_t s, ss::Sample &sample, double &quality) {
+            step, [&](size_t s, ss::Sample &sample) {
                 sample = task.space.uniformSample(shard_rngs[s]);
-                quality = task.quality(sample);
-                // Shared-resource region: both paths must admit shards
-                // strictly in index order (degraded shards skipped).
-                ex::OrderedSection::Guard guard(engine.runner().ordered(),
-                                                s);
-                run.ordered_entries.push_back(s);
             }));
     }
     run.inline_steps = engine.runner().inlineSteps();
@@ -320,12 +313,12 @@ runSingleWorker(bool inline_path)
 
 } // namespace
 
-TEST(EvalEngine, InlinePathBitIdenticalToForcedDispatch)
+TEST(EvalEngine, InlinePathBitIdenticalToDispatch)
 {
-    InlineRunResult inl = runSingleWorker(/*inline_path=*/true);
-    InlineRunResult disp = runSingleWorker(/*inline_path=*/false);
+    EngineRunResult inl = runFaultyEngine(1);
+    EngineRunResult disp = runFaultyEngine(4);
 
-    // The two runs took the paths they were asked to take.
+    // The two runs took the paths their thread counts select.
     EXPECT_EQ(inl.inline_steps, inl.evals.size());
     EXPECT_EQ(inl.dispatched_steps, 0u);
     EXPECT_EQ(disp.inline_steps, 0u);
@@ -354,8 +347,6 @@ TEST(EvalEngine, InlinePathBitIdenticalToForcedDispatch)
     // RNG non-advancement half of the check is vacuous.
     EXPECT_GT(degraded_total, 0u);
 
-    // Ordered sections admitted shards in the same (ascending) order.
-    EXPECT_EQ(inl.ordered_entries, disp.ordered_entries);
     // Every shard's RNG stream ended at the same position.
     EXPECT_EQ(inl.rng_probes, disp.rng_probes);
 }
@@ -382,7 +373,9 @@ TEST(EvalEngine, FaultsDropCandidatesFromBatchGracefully)
     ev::EvalEngineConfig cfg;
     cfg.numShards = shards;
     cfg.faults = &faults;
-    ev::EvalEngine engine(perf_batch, reward, cfg);
+    ev::EvalEngine engine(
+        perf_batch, reward, cfg,
+        [&](const ss::Sample &s) { return task.quality(s); });
 
     std::vector<Rng> shard_rngs;
     for (size_t s = 0; s < shards; ++s)
@@ -392,10 +385,9 @@ TEST(EvalEngine, FaultsDropCandidatesFromBatchGracefully)
     std::vector<size_t> body_runs(shards, 0);
     for (size_t step = 0; step < steps; ++step) {
         auto step_eval = engine.evaluate(
-            step, [&](size_t s, ss::Sample &sample, double &quality) {
+            step, [&](size_t s, ss::Sample &sample) {
                 ++body_runs[s];
                 sample = task.space.uniformSample(shard_rngs[s]);
-                quality = task.quality(sample);
             });
 
         // Survivors ascending, consistent with the runner's report.
@@ -462,7 +454,9 @@ TEST(EvalEngine, TransientFailuresRetryToFullBatch)
     ev::EvalEngineConfig cfg;
     cfg.numShards = shards;
     cfg.faults = &faults;
-    ev::EvalEngine engine(perf_batch, reward, cfg);
+    ev::EvalEngine engine(
+        perf_batch, reward, cfg,
+        [&](const ss::Sample &s) { return task.quality(s); });
 
     std::vector<Rng> shard_rngs;
     for (size_t s = 0; s < shards; ++s)
@@ -471,9 +465,8 @@ TEST(EvalEngine, TransientFailuresRetryToFullBatch)
     size_t retried = 0;
     for (size_t step = 0; step < steps; ++step) {
         auto step_eval = engine.evaluate(
-            step, [&](size_t s, ss::Sample &sample, double &quality) {
+            step, [&](size_t s, ss::Sample &sample) {
                 sample = task.space.uniformSample(shard_rngs[s]);
-                quality = task.quality(sample);
             });
         for (size_t s = 0; s < shards; ++s) {
             const auto &res = step_eval.report.shards[s];

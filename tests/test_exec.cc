@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for the h2o::exec runtime: thread-pool and RNG-splitting
- * determinism, ordered-section sequencing (including more shards than
- * workers), seeded fault injection with retry/degradation, atomic
+ * determinism, seeded fault injection with retry/degradation, atomic
  * checkpoint files, and the end-to-end contracts of the unified
  * single-step search on top of the runtime — bit-identical outcomes at
  * any thread count, checkpoint/resume to an identical outcome, and
@@ -21,6 +20,7 @@
 #include <sstream>
 
 #include "common/flags.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "exec/checkpoint.h"
@@ -82,6 +82,16 @@ TEST(ThreadPool, ResolveClampsToWorkItems)
     EXPECT_EQ(ex::ThreadPool::resolve(8, 0), 1u);
 }
 
+// threads = 0 means the CPUs in the affinity mask — the same count
+// common::parallelFor splits kernels across — not the host's CPU count.
+TEST(ThreadPool, DefaultWidthIsTheAffinityMask)
+{
+    EXPECT_EQ(ex::ThreadPool::resolve(0, 1 << 20),
+              h2o::common::parallelWidth());
+    ex::ThreadPool pool(0);
+    EXPECT_EQ(pool.size(), h2o::common::parallelWidth());
+}
+
 TEST(ThreadPool, SplitRngsMatchesSerialForkConvention)
 {
     // The split must reproduce the rng.fork(s + 1) streams the serial
@@ -93,41 +103,6 @@ TEST(ThreadPool, SplitRngsMatchesSerialForkConvention)
         Rng expect = b.fork(s + 1);
         for (int i = 0; i < 16; ++i)
             EXPECT_EQ(streams[s].next64(), expect.next64());
-    }
-}
-
-// ------------------------------------------------------ OrderedSection
-
-TEST(OrderedSection, AdmitsShardsInIndexOrder)
-{
-    ex::ThreadPool pool(4);
-    ex::ShardRunner runner(pool, {8, 1, 0.0});
-    std::vector<size_t> order;
-    runner.runStep(0, [&](size_t s) {
-        ex::OrderedSection::Guard guard(runner.ordered(), s);
-        order.push_back(s);
-    });
-    std::vector<size_t> expected = {0, 1, 2, 3, 4, 5, 6, 7};
-    EXPECT_EQ(order, expected);
-}
-
-TEST(OrderedSection, NoDeadlockWithMoreShardsThanWorkers)
-{
-    // FIFO dispatch guarantees the lowest not-done shard is always
-    // running or next in the queue, so ordered sections cannot deadlock
-    // even when shards outnumber workers.
-    ex::ThreadPool pool(2);
-    ex::ShardRunner runner(pool, {16, 1, 0.0});
-    std::vector<size_t> order;
-    for (size_t step = 0; step < 5; ++step) {
-        order.clear();
-        runner.runStep(step, [&](size_t s) {
-            ex::OrderedSection::Guard guard(runner.ordered(), s);
-            order.push_back(s);
-        });
-        ASSERT_EQ(order.size(), 16u);
-        for (size_t s = 0; s < 16; ++s)
-            EXPECT_EQ(order[s], s);
     }
 }
 
@@ -234,7 +209,6 @@ TEST(ShardRunner, BodyExceptionsCountAsFailures)
     ex::ThreadPool pool(2);
     ex::ShardRunner runner(pool, {4, 3, 0.0});
     auto report = runner.runStep(0, [&](size_t s) {
-        ex::OrderedSection::Guard guard(runner.ordered(), s);
         if (s == 2)
             throw std::runtime_error("shard blew up");
     });

@@ -593,31 +593,6 @@ TEST(MultiprocSearch, TransportStatsEmptyOnThreadPath)
 
 // ------------------------------------------------- fatal-path contracts
 
-TEST(MultiprocFatal, PerShardQualityBodyWithProcsIsFatal)
-{
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT(
-        {
-            DlrmFixture f;
-            rw::ReluReward reward({{"flops", 2.0, -0.5}});
-            sr::H2oSearchConfig cfg;
-            cfg.numShards = 2;
-            cfg.numSteps = 1;
-            cfg.warmupSteps = 0;
-            cfg.procs = 2;
-            cfg.batchedQuality = false; // per-shard closures + procs
-            sr::H2oDlrmSearch search(
-                f.space, f.net, *f.pipe,
-                sr::DlrmPerfFn([&](const ss::Sample &s) {
-                    return purePerf(f.space, s);
-                }),
-                reward, cfg);
-            Rng rng(1);
-            (void)search.run(rng);
-        },
-        testing::ExitedWithCode(1), "require batchedQuality");
-}
-
 TEST(ProcsFlag, EnvironmentDefaultAndFatalOnMalformed)
 {
     testing::FLAGS_gtest_death_test_style = "threadsafe";

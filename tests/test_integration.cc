@@ -94,7 +94,6 @@ TEST(Integration, ReluBeatsAbsoluteWithMultipleObjectives)
         sr::SurrogateSearchConfig cfg;
         cfg.numSteps = 120;
         cfg.samplesPerStep = 8;
-        cfg.multithread = true;
         cfg.rl.learningRate = 0.1;
         sr::SurrogateSearch search(space.decisions(), quality, perf,
                                    *reward, cfg);

@@ -99,7 +99,6 @@ struct MiniSearch
         cfg.rl.learningRate = 0.08;
         cfg.rl.entropyWeight = 5e-3;
         cfg.threads = threads == 0 ? 1 : threads;
-        cfg.multithread = threads != 1;
         cfg.multiTarget.targetNames = targets.names();
         search = std::make_unique<sr::SurrogateSearch>(
             space.decisions(),
@@ -453,7 +452,6 @@ TEST(MultiTargetSearch, OneTargetMatchesLegacySearchBitwise)
     cfg.rl.learningRate = 0.08;
     cfg.rl.entropyWeight = 5e-3;
     cfg.threads = 1;
-    cfg.multithread = false;
     sr::SurrogateSearch legacy(space.decisions(), quality,
                                sr::PerfBatchFn(perf), rwd, cfg);
     h2o::common::Rng rng(11);
@@ -552,7 +550,6 @@ TEST(MultiTargetCheckpoint, MismatchedTargetsRefuseToLoad)
             cfg.numSteps = 4;
             cfg.samplesPerStep = 3;
             cfg.threads = 1;
-            cfg.multithread = false;
             sr::SurrogateSearch legacy(space.decisions(), quality,
                                        sr::PerfBatchFn(perf), rwd, cfg);
             h2o::common::Rng r(1);

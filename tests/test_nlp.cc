@@ -173,7 +173,7 @@ TEST(NlpSpace, SearchFindsFasterLmAtBudget)
     h2o::search::SurrogateSearchConfig cfg;
     cfg.numSteps = 80;
     cfg.samplesPerStep = 6;
-    cfg.multithread = false;
+    cfg.threads = 1;
     cfg.rl.learningRate = 0.1;
     h2o::search::SurrogateSearch search(space.decisions(), quality, perf,
                                         rwd, cfg);

@@ -1,11 +1,13 @@
 /**
  * @file
- * Bit-identity tests for the batched quality stage: the supernet's
- * packed multi-candidate eval pass (DlrmSupernet::evaluateBatch) against
- * sequential configure()+evaluate() calls, and the search steppers'
- * batched-quality mode (one coordinator-side pass per step) against the
- * historical per-shard path — at --threads 1/2/8, with fault injection,
- * across batch-chunk sizes, and under both kernel implementations.
+ * Tests for the batched quality stage: the supernet's packed
+ * multi-candidate eval pass (DlrmSupernet::evaluateBatch) is bitwise
+ * equal to sequential configure()+evaluate() calls across batch-chunk
+ * sizes and both kernel implementations; the H2O search, whose quality
+ * stage runs as one coordinator-side pass over each step's survivors,
+ * yields identical outcomes at --threads 1/4/8 with and without injected
+ * faults and leases exactly one batch per surviving shard; and the
+ * TuNAS pi-step never trains on its validation batches.
  */
 
 #include <cstdint>
@@ -242,108 +244,170 @@ TEST(EvaluateBatch, LeavesTrainingStateUntouched)
     lease_b.markAlphaUse();
 }
 
-// ------------------------------------------- H2O search A/B
+// ------------------------------------------- H2O search invariants
 
 namespace {
 
-/** One full H2O search run; batched vs per-shard quality, any thread
- *  count, optional fault injection. */
-sr::SearchOutcome
-runH2o(bool batched, size_t threads, const exec::FaultConfig &fc,
-       std::vector<sr::H2oStepStats> *stats_out = nullptr,
-       uint64_t *preemptions = nullptr)
+constexpr size_t kH2oShards = 4;
+constexpr size_t kH2oSteps = 10;
+constexpr size_t kH2oWarmup = 3;
+constexpr size_t kMaxAttempts = 3;
+
+/** Everything observable about one H2O search run. */
+struct H2oRun
+{
+    sr::SearchOutcome outcome;
+    std::vector<sr::H2oStepStats> stats;
+    pl::PipelineStats pipeline;
+    uint64_t preemptions = 0;
+};
+
+H2oRun
+runH2o(size_t threads, const exec::FaultConfig &fc)
 {
     DlrmFixture f;
     exec::FaultInjector faults(fc);
     rw::ReluReward reward({{"step_time", 1e9, -0.5}});
     sr::H2oSearchConfig cfg;
-    cfg.numShards = 4;
-    cfg.numSteps = 10;
-    cfg.warmupSteps = 3;
+    cfg.numShards = kH2oShards;
+    cfg.numSteps = kH2oSteps;
+    cfg.warmupSteps = kH2oWarmup;
     cfg.threads = threads;
-    cfg.batchedQuality = batched;
     cfg.faults = &faults;
+    cfg.maxShardAttempts = kMaxAttempts;
     sr::H2oDlrmSearch search(
         f.space, f.net, *f.pipe,
         [&](const ss::Sample &s) { return cheapPerf(f.space, s); }, reward,
         cfg);
     Rng rng(33);
-    auto outcome = search.run(rng);
-    if (stats_out)
-        *stats_out = search.stepStats();
-    if (preemptions)
-        *preemptions = faults.stats().preemptions.load();
-    return outcome;
+    H2oRun run;
+    run.outcome = search.run(rng);
+    run.stats = search.stepStats();
+    run.pipeline = f.pipe->stats();
+    run.preemptions = faults.stats().preemptions.load();
+    return run;
+}
+
+/** Whether a shard survives a runner step, replayed from the fault
+ *  oracle alone: lost when preempted on attempt 0 or failed on every
+ *  attempt (the bodies here never throw). */
+bool
+oracleSurvives(const exec::FaultInjector &faults, size_t step,
+               size_t shard)
+{
+    for (size_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
+        exec::FaultKind kind = faults.decide(step, shard, attempt);
+        if (kind == exec::FaultKind::Preempt)
+            return false;
+        if (kind != exec::FaultKind::Fail)
+            return true;
+    }
+    return false;
+}
+
+/** Surviving shards of runner steps [begin, end), per the oracle. */
+uint64_t
+oracleSurvivors(const exec::FaultConfig &fc, size_t begin, size_t end)
+{
+    exec::FaultInjector faults(fc);
+    uint64_t live = 0;
+    for (size_t step = begin; step < end; ++step)
+        for (size_t s = 0; s < kH2oShards; ++s)
+            live += oracleSurvives(faults, step, s);
+    return live;
+}
+
+/** Outcome and step telemetry identical at every pinned thread count;
+ *  the reference is the one-thread (inline) run. */
+void
+expectSameAcrossThreads(const exec::FaultConfig &fc, const H2oRun &ref)
+{
+    for (size_t threads : {4u, 8u}) {
+        SCOPED_TRACE(testing::Message() << "threads " << threads);
+        H2oRun run = runH2o(threads, fc);
+        expectSameOutcome(run.outcome, ref.outcome);
+        ASSERT_EQ(run.stats.size(), ref.stats.size());
+        for (size_t i = 0; i < run.stats.size(); ++i) {
+            EXPECT_EQ(run.stats[i].meanReward, ref.stats[i].meanReward);
+            EXPECT_EQ(run.stats[i].meanQuality, ref.stats[i].meanQuality);
+            EXPECT_EQ(run.stats[i].trainLoss, ref.stats[i].trainLoss);
+            EXPECT_EQ(run.stats[i].liveShards, ref.stats[i].liveShards);
+        }
+        EXPECT_EQ(run.pipeline.batchesIssued, ref.pipeline.batchesIssued);
+    }
+}
+
+/** Every lease trains exactly one surviving shard's candidate: warm-up
+ *  survivors (from the oracle) plus the search steps' liveShards. */
+void
+expectOneLeasePerSurvivor(const exec::FaultConfig &fc, const H2oRun &run)
+{
+    const uint64_t warmup_live = oracleSurvivors(fc, 0, kH2oWarmup);
+    uint64_t search_live = 0;
+    ASSERT_EQ(run.stats.size(), kH2oSteps);
+    for (size_t i = 0; i < kH2oSteps; ++i) {
+        EXPECT_EQ(run.stats[i].liveShards,
+                  oracleSurvivors(fc, kH2oWarmup + i, kH2oWarmup + i + 1))
+            << "step " << i;
+        search_live += run.stats[i].liveShards;
+    }
+    EXPECT_EQ(run.pipeline.batchesIssued, warmup_live + search_live);
+    EXPECT_EQ(run.pipeline.completeLeases, run.pipeline.batchesIssued);
+    EXPECT_EQ(run.pipeline.alphaOnlyLeases, 0u);
 }
 
 } // namespace
 
-TEST(QualityBatchSearch, H2oBatchedMatchesPerShardAcrossThreads)
+TEST(QualityBatchSearch, H2oIdenticalAcrossThreads)
 {
     exec::FaultConfig no_faults;
-    std::vector<sr::H2oStepStats> ref_stats;
-    auto ref = runH2o(false, 1, no_faults, &ref_stats);
-
-    for (size_t threads : {1u, 2u, 8u}) {
-        for (bool batched : {true, false}) {
-            std::vector<sr::H2oStepStats> stats;
-            auto out = runH2o(batched, threads, no_faults, &stats);
-            expectSameOutcome(out, ref);
-            ASSERT_EQ(stats.size(), ref_stats.size());
-            for (size_t i = 0; i < stats.size(); ++i) {
-                EXPECT_EQ(stats[i].meanReward, ref_stats[i].meanReward);
-                EXPECT_EQ(stats[i].meanQuality, ref_stats[i].meanQuality);
-                EXPECT_EQ(stats[i].trainLoss, ref_stats[i].trainLoss);
-                EXPECT_EQ(stats[i].liveShards, ref_stats[i].liveShards);
-            }
-        }
-    }
+    H2oRun ref = runH2o(1, no_faults);
+    EXPECT_EQ(ref.pipeline.batchesIssued,
+              (kH2oWarmup + kH2oSteps) * kH2oShards);
+    expectOneLeasePerSurvivor(no_faults, ref);
+    expectSameAcrossThreads(no_faults, ref);
 }
 
-/** With preemptions striking, a degraded shard must neither draw its
- *  sample (RNG stream untouched) nor lease a batch — in BOTH modes, so
- *  the full histories stay bit-identical at any thread count. */
-TEST(QualityBatchSearch, H2oBatchedMatchesPerShardUnderFaults)
+/** With preemptions and failures striking, a degraded shard neither
+ *  draws its sample (RNG stream untouched) nor leases a batch, so the
+ *  full histories stay bit-identical at any thread count. */
+TEST(QualityBatchSearch, H2oIdenticalAcrossThreadsUnderFaults)
 {
     exec::FaultConfig fc;
     fc.preemptProb = 0.15;
     fc.failProb = 0.05;
     fc.seed = 404;
 
-    uint64_t ref_preempts = 0;
-    auto ref = runH2o(false, 1, fc, nullptr, &ref_preempts);
-    ASSERT_GT(ref_preempts, 0u) << "fault probe never struck";
-
-    for (size_t threads : {1u, 2u, 8u}) {
-        auto out = runH2o(true, threads, fc);
-        expectSameOutcome(out, ref);
-    }
+    H2oRun ref = runH2o(1, fc);
+    ASSERT_GT(ref.preemptions, 0u) << "fault probe never struck";
+    ASSERT_LT(ref.pipeline.batchesIssued,
+              (kH2oWarmup + kH2oSteps) * kH2oShards);
+    expectOneLeasePerSurvivor(fc, ref);
+    expectSameAcrossThreads(fc, ref);
 }
 
-// ------------------------------------------- TuNAS A/B
+// ------------------------------------------- TuNAS validation stream
 
-TEST(QualityBatchSearch, TunasBatchedMatchesPerCandidate)
+/** The pi-step evaluates on its own batch and never trains on it: one
+ *  alpha-only lease per iteration, and every other lease (warm-up and
+ *  W-steps) trains. */
+TEST(QualityBatchSearch, TunasPiStepLeasesAreAlphaOnly)
 {
-    sr::SearchOutcome outcomes[2];
-    uint64_t alpha_only[2];
-    for (int mode = 0; mode < 2; ++mode) {
-        DlrmFixture f;
-        rw::AbsoluteReward reward({{"step_time", 2.0, -0.5}});
-        sr::TunasSearchConfig cfg;
-        cfg.numIterations = 12;
-        cfg.warmupSteps = 4;
-        cfg.batchedQuality = mode == 0;
-        sr::TunasSearch search(
-            f.space, f.net, *f.pipe,
-            [&](const ss::Sample &s) { return cheapPerf(f.space, s); },
-            reward, cfg);
-        Rng rng(34);
-        outcomes[mode] = search.run(rng);
-        alpha_only[mode] = f.pipe->stats().alphaOnlyLeases;
-    }
-    expectSameOutcome(outcomes[0], outcomes[1]);
-    // The validation stream stays alpha-only in batched mode: the
-    // packed eval never trains weights.
-    EXPECT_EQ(alpha_only[0], 12u);
-    EXPECT_EQ(alpha_only[1], 12u);
+    DlrmFixture f;
+    rw::AbsoluteReward reward({{"step_time", 2.0, -0.5}});
+    sr::TunasSearchConfig cfg;
+    cfg.numIterations = 12;
+    cfg.warmupSteps = 4;
+    sr::TunasSearch search(
+        f.space, f.net, *f.pipe,
+        [&](const ss::Sample &s) { return cheapPerf(f.space, s); }, reward,
+        cfg);
+    Rng rng(34);
+    auto outcome = search.run(rng);
+    EXPECT_EQ(outcome.history.size(), cfg.numIterations);
+    pl::PipelineStats stats = f.pipe->stats();
+    EXPECT_EQ(stats.alphaOnlyLeases, cfg.numIterations);
+    EXPECT_EQ(stats.completeLeases, cfg.warmupSteps + cfg.numIterations);
+    EXPECT_EQ(stats.batchesIssued,
+              cfg.warmupSteps + 2 * cfg.numIterations);
 }

@@ -1009,31 +1009,3 @@ TEST(RemoteSearch, CheckpointBytesIdenticalAcrossTransports)
         c->step();
     expectIdenticalOutcomes(ref, c->finish());
 }
-
-TEST(RemoteFatal, PerShardQualityBodyWithRemoteWorkersIsFatal)
-{
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
-    // Same gate as procs: a per-shard quality closure cannot cross the
-    // process boundary, whether the worker is a fork or a daemon. The
-    // gate fires before any socket is opened, so no loopback needed.
-    EXPECT_EXIT(
-        {
-            DlrmFixture f;
-            rw::ReluReward reward({{"flops", 2.0, -0.5}});
-            sr::H2oSearchConfig cfg;
-            cfg.numShards = 2;
-            cfg.numSteps = 1;
-            cfg.warmupSteps = 0;
-            cfg.workers = "local";
-            cfg.batchedQuality = false;
-            sr::H2oDlrmSearch search(
-                f.space, f.net, *f.pipe,
-                sr::DlrmPerfFn([&](const ss::Sample &s) {
-                    return purePerf(f.space, s);
-                }),
-                reward, cfg);
-            Rng rng(1);
-            (void)search.run(rng);
-        },
-        testing::ExitedWithCode(1), "require batchedQuality");
-}

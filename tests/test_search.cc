@@ -110,7 +110,7 @@ TEST(SurrogateSearch, FindsConstrainedOptimum)
     sr::SurrogateSearchConfig cfg;
     cfg.numSteps = 400;
     cfg.samplesPerStep = 8;
-    cfg.multithread = false;
+    cfg.threads = 1;
     cfg.rl.learningRate = 0.15;
     sr::SurrogateSearch search(
         task.space, [&](const ss::Sample &s) { return task.quality(s); },
@@ -131,7 +131,7 @@ TEST(SurrogateSearch, UnconstrainedMaximizesQuality)
     sr::SurrogateSearchConfig cfg;
     cfg.numSteps = 300;
     cfg.samplesPerStep = 8;
-    cfg.multithread = false;
+    cfg.threads = 1;
     cfg.rl.learningRate = 0.15;
     sr::SurrogateSearch search(
         task.space, [&](const ss::Sample &s) { return task.quality(s); },
@@ -151,14 +151,14 @@ TEST(SurrogateSearch, MultithreadMatchesSequentialStatistics)
     cfg.samplesPerStep = 4;
     cfg.rl.learningRate = 0.1;
 
-    cfg.multithread = true;
+    cfg.threads = 4;
     sr::SurrogateSearch mt(
         task.space, [&](const ss::Sample &s) { return task.quality(s); },
         [&](const ss::Sample &s) { return task.perf(s); }, reward, cfg);
     Rng rng1(23);
     auto o1 = mt.run(rng1);
 
-    cfg.multithread = false;
+    cfg.threads = 1;
     sr::SurrogateSearch st(
         task.space, [&](const ss::Sample &s) { return task.quality(s); },
         [&](const ss::Sample &s) { return task.perf(s); }, reward, cfg);

@@ -254,7 +254,9 @@ runFaultySweep(size_t threads)
     cfg.numShards = shards;
     cfg.threads = threads;
     cfg.faults = &faults;
-    ev::EvalEngine engine(perf_batch, reward, cfg);
+    ev::EvalEngine engine(
+        perf_batch, reward, cfg,
+        [](const ss::Sample &sample) { return double(sample[0] % 7); });
 
     std::vector<Rng> shard_rngs;
     for (size_t s = 0; s < shards; ++s)
@@ -263,9 +265,8 @@ runFaultySweep(size_t threads)
     RunDigest digest;
     for (size_t step = 0; step < steps; ++step) {
         auto step_eval = engine.evaluate(
-            step, [&](size_t s, ss::Sample &sample, double &quality) {
+            step, [&](size_t s, ss::Sample &sample) {
                 sample = space.decisions().uniformSample(shard_rngs[s]);
-                quality = double(sample[0] % 7);
             });
         for (size_t s = 0; s < shards; ++s) {
             digest.samples.push_back(step_eval.samples[s]);
