@@ -8,8 +8,9 @@
  * cache. Mid-run it pauses a job, lets the others make progress, then
  * resumes it from its checkpoint; the job still produces exactly the
  * result it would have standalone (the demo verifies this for one job).
- * Finishes with a results table, the telemetry tail, and the shared
- * cache's cross-tenant hit statistics.
+ * Finishes with a results table and the telemetry tail on stdout, and
+ * the scheduling-dependent cache statistics (per-step hit rates, the
+ * shared cache's cross-tenant hits) on stderr.
  *
  *   $ ./serve_demo [--threads=N] [--procs=N] [--workers=...] [--steps=N]
  *                [--telemetry_csv=FILE]
@@ -135,21 +136,37 @@ main(int argc, char **argv)
     std::cout << "\npause/resume determinism vs standalone: "
               << (match ? "MATCH (bit-identical)" : "MISMATCH") << "\n";
 
-    // 6. Telemetry tail + shared-cache economics.
-    auto rows = server.telemetry().rows();
-    std::cout << "\ntelemetry (" << rows.size() << " rows, last 5):\n"
-              << "  job  step  mean_reward  best_reward  hit_rate\n";
-    for (size_t i = rows.size() >= 5 ? rows.size() - 5 : 0;
-         i < rows.size(); ++i) {
-        const auto &r = rows[i];
+    // 6. Telemetry + shared-cache economics. Each job's rows are
+    //    deterministic; how rows of different jobs interleave, the
+    //    per-row cache hit rate and the cache's hit/miss counts depend
+    //    on scheduling (serve/telemetry.h), so those go to stderr and
+    //    stdout is byte-stable at any --threads.
+    const serve::TelemetryStream &telemetry = server.telemetry();
+    std::cout << "\ntelemetry (" << telemetry.size()
+              << " rows, last per job):\n"
+              << "  job  step  mean_reward  best_reward\n";
+    for (const auto &info : server.queue().snapshot()) {
+        auto jobRows = telemetry.rowsForJob(info.spec.id);
+        if (jobRows.empty())
+            continue;
+        const auto &r = jobRows.back();
         std::cout << "  " << std::setw(3) << r.jobId << "  "
                   << std::setw(4) << r.step << "  " << std::setw(11)
                   << r.meanReward << "  " << std::setw(11)
-                  << r.bestReward << "  " << std::setw(8)
-                  << std::setprecision(3) << r.cacheHitRate << "\n";
+                  << r.bestReward << "\n";
+    }
+    auto rows = telemetry.rows();
+    std::cerr << "\ntelemetry tail in record order (observational):\n"
+              << "  job  step  hit_rate\n"
+              << std::setprecision(3);
+    for (size_t i = rows.size() >= 5 ? rows.size() - 5 : 0;
+         i < rows.size(); ++i) {
+        std::cerr << "  " << std::setw(3) << rows[i].jobId << "  "
+                  << std::setw(4) << rows[i].step << "  " << std::setw(8)
+                  << rows[i].cacheHitRate << "\n";
     }
     sim::SimCacheStats cs = server.cache().stats();
-    std::cout << "\nshared sim cache: " << cs.entries << " entries, "
+    std::cerr << "\nshared sim cache: " << cs.entries << " entries, "
               << cs.hits << " hits / " << cs.misses
               << " misses (lifetime hit rate "
               << 100.0 * cs.hitRate()

@@ -67,6 +67,46 @@ makeEvalTask(QualityFn quality, PerfFn perf)
     };
 }
 
+/** Fleet mode: register the eval task, THEN build the transports —
+ *  forked workers only know tasks registered before their fork, and
+ *  remote handshakes verify the task is registered on both ends. The
+ *  name is unique per engine instance because one process may host
+ *  several engines at once (serve::Server runs one per job). */
+std::unique_ptr<exec::ProcTaskRegistration>
+registerEvalTask(const EvalEngineConfig &config, QualityFn quality,
+                 PerfFn perf)
+{
+    if (config.procs == 0 && config.workers.empty())
+        return nullptr;
+    static std::atomic<uint64_t> instances{0};
+    return std::make_unique<exec::ProcTaskRegistration>(
+        "eval_engine/" + std::to_string(instances.fetch_add(1)),
+        makeEvalTask(std::move(quality), std::move(perf)));
+}
+
+/** Forked slots first, remote slots after — fork order matters for fd
+ *  hygiene (fork-local daemons must not inherit remote connection
+ *  fds), and slot order fixes the shard pinning (shard s -> slot s %
+ *  total) that outcomes are invariant to anyway (pure tasks). */
+std::unique_ptr<exec::ShardTransport>
+makeTransport(const EvalEngineConfig &config, const std::string &task)
+{
+    std::vector<std::unique_ptr<exec::ShardTransport>> parts;
+    if (config.procs > 0)
+        parts.push_back(std::make_unique<exec::ProcPool>(
+            exec::ProcPool::resolve(config.procs, config.numShards)));
+    if (!config.workers.empty()) {
+        exec::RemotePoolConfig remote;
+        remote.endpoints = exec::parseWorkerList(config.workers);
+        remote.requiredTasks = {task};
+        parts.push_back(
+            std::make_unique<exec::RemotePool>(std::move(remote)));
+    }
+    if (parts.size() == 1)
+        return std::move(parts.front());
+    return std::make_unique<exec::MixedTransport>(std::move(parts));
+}
+
 } // namespace
 
 EvalEngine::EvalEngine(PerfStage perf,
@@ -74,57 +114,21 @@ EvalEngine::EvalEngine(PerfStage perf,
                        EvalEngineConfig config, QualityFn quality)
     : _perf(std::move(perf)), _reward(rewardf), _config(config),
       _quality(std::move(quality)),
-      _pool(exec::ThreadPool::resolve(config.threads, config.numShards)),
+      _taskReg(registerEvalTask(_config, _quality, _perf.perCandidate)),
+      _transport(_taskReg ? makeTransport(_config, _taskReg->name())
+                          : nullptr),
+      // One lane per worker slot in fleet mode.
+      _pool(exec::ThreadPool::resolve(
+          _transport ? _transport->size() : config.threads,
+          config.numShards)),
       _runner(_pool,
               {config.numShards, config.maxShardAttempts,
                config.retryBackoffMs},
-              config.faults)
+              config.faults, _transport.get())
 {
     h2o_assert(_perf.perCandidate || _perf.batched,
                "null performance functor");
     h2o_assert(_config.numShards > 0, "engine with zero shards");
-
-    if (_config.procs > 0 || !_config.workers.empty()) {
-        // Register the eval task, THEN build the transports — forked
-        // workers only know tasks registered before their fork, and
-        // remote handshakes verify the task is registered on both ends.
-        // The name is unique per engine instance because one process
-        // may host several engines at once (serve::Server runs one per
-        // job).
-        static std::atomic<uint64_t> instances{0};
-        _taskReg = std::make_unique<exec::ProcTaskRegistration>(
-            "eval_engine/" + std::to_string(instances.fetch_add(1)),
-            makeEvalTask(_quality, _perf.perCandidate));
-
-        // Forked slots first, remote slots after — fork order matters
-        // for fd hygiene (fork-local daemons must not inherit remote
-        // connection fds), and slot order fixes the shard pinning
-        // (shard s -> slot s % total) that outcomes are invariant to
-        // anyway (pure tasks).
-        std::vector<std::unique_ptr<exec::ShardTransport>> parts;
-        if (_config.procs > 0)
-            parts.push_back(std::make_unique<exec::ProcPool>(
-                exec::ProcPool::resolve(_config.procs,
-                                        _config.numShards)));
-        if (!_config.workers.empty()) {
-            exec::RemotePoolConfig remote;
-            remote.endpoints = exec::parseWorkerList(_config.workers);
-            remote.requiredTasks = {_taskReg->name()};
-            parts.push_back(
-                std::make_unique<exec::RemotePool>(std::move(remote)));
-        }
-        if (parts.size() == 1)
-            _transport = std::move(parts.front());
-        else
-            _transport = std::make_unique<exec::MixedTransport>(
-                std::move(parts));
-        _procRunner = std::make_unique<exec::ProcRunner>(
-            *_transport,
-            exec::ShardRunnerConfig{_config.numShards,
-                                    _config.maxShardAttempts,
-                                    _config.retryBackoffMs},
-            _config.faults);
-    }
 }
 
 void
@@ -152,40 +156,6 @@ EvalEngine::finishStep(StepEval &ev)
             _reward.compute({ev.qualities[s], ev.performance[s]});
 }
 
-void
-EvalEngine::runProcStage(size_t step, const SampleBodyFn &body,
-                         bool withQuality, StepEval &ev)
-{
-    exec::ProcShardTask task;
-    task.name = _taskReg->name();
-    // Encode = the draw. ProcRunner runs it at the exact point the
-    // thread path runs the shard body (after the fault decision, at
-    // most once per step unless the worker task throws), so each
-    // shard's RNG stream advances exactly as it would in-process.
-    task.encode = [&](size_t s) {
-        body(s, ev.samples[s]);
-        exec::WireWriter w;
-        w.putU32(withQuality ? 1u : 0u);
-        w.putU64(ev.samples[s].size());
-        for (size_t d : ev.samples[s])
-            w.putU64(static_cast<uint64_t>(d));
-        return w.take();
-    };
-    task.decode = [&](size_t s, const std::string &response) {
-        exec::WireReader r(response);
-        if (r.getU32() != 0)
-            ev.qualities[s] = r.getDouble();
-        const uint32_t perfCount = r.getU32();
-        if (_perf.perCandidate) {
-            std::vector<double> values(perfCount);
-            for (auto &v : values)
-                v = r.getDouble();
-            ev.performance[s] = std::move(values);
-        }
-    };
-    ev.report = _procRunner->runStep(step, task);
-}
-
 StepEval
 EvalEngine::runShards(size_t step, const SampleBodyFn &body,
                       bool withQuality)
@@ -201,9 +171,35 @@ EvalEngine::runShards(size_t step, const SampleBodyFn &body,
     // its RNG stream never advances. Per-candidate stages ride along in
     // the shard body (or the worker process), so a blocking function
     // (device-in-the-loop) occupies its shard and overlaps across
-    // workers.
-    if (_procRunner) {
-        runProcStage(step, body, withQuality, ev);
+    // lanes.
+    if (_transport) {
+        // Encode = the draw, run where a closure step runs its body (so
+        // each shard's RNG stream advances exactly as in-process);
+        // decode applies the worker's answers after the barrier.
+        exec::ProcShardTask task;
+        task.name = _taskReg->name();
+        task.encode = [&](size_t s) {
+            body(s, ev.samples[s]);
+            exec::WireWriter w;
+            w.putU32(withQuality ? 1u : 0u);
+            w.putU64(ev.samples[s].size());
+            for (size_t d : ev.samples[s])
+                w.putU64(static_cast<uint64_t>(d));
+            return w.take();
+        };
+        task.decode = [&](size_t s, const std::string &response) {
+            exec::WireReader r(response);
+            if (r.getU32() != 0)
+                ev.qualities[s] = r.getDouble();
+            const uint32_t perfCount = r.getU32();
+            if (_perf.perCandidate) {
+                std::vector<double> values(perfCount);
+                for (auto &v : values)
+                    v = r.getDouble();
+                ev.performance[s] = std::move(values);
+            }
+        };
+        ev.report = _runner.runStep(step, task);
     } else {
         ev.report = _runner.runStep(step, [&](size_t s) {
             body(s, ev.samples[s]);

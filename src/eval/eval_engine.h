@@ -52,7 +52,6 @@
 #include <span>
 #include <vector>
 
-#include "exec/proc_runner.h"
 #include "exec/proc_transport.h"
 #include "exec/run_options.h"
 #include "exec/shard_runner.h"
@@ -107,9 +106,9 @@ struct PerfStage
 /** Engine configuration: the shard count, the coordinator's thread
  *  count and the shared fleet/retry options (exec::RunOptions). With
  *  `procs` or `workers` set the engine ships each shard's pure work to
- *  worker processes / daemons; `threads` then only sizes the pool used
- *  for non-evaluate runner() steps. Every thread count and fleet shape
- *  yields byte-identical results. */
+ *  worker processes / daemons and sizes its pool to their slot count
+ *  instead of `threads`. Every thread count and fleet shape yields
+ *  byte-identical results. */
 struct EvalEngineConfig : exec::RunOptions
 {
     /** Virtual accelerator shards = candidates per step. */
@@ -136,8 +135,9 @@ struct StepEval
 };
 
 /**
- * The engine. Owns the persistent worker pool and the fault-tolerant
- * ShardRunner; outlives many evaluate() calls.
+ * The engine. Owns the persistent worker pool, the worker transport (in
+ * fleet mode) and the fault-tolerant ShardRunner over both; outlives
+ * many evaluate() calls.
  */
 class EvalEngine
 {
@@ -208,19 +208,8 @@ class EvalEngine
      *  sequence. */
     exec::ShardRunner &runner() { return _runner; }
 
-    /** The persistent worker pool. */
-    exec::ThreadPool &pool() { return _pool; }
-
     /** Shard count. */
     size_t numShards() const { return _config.numShards; }
-
-    /** True when the engine ships shard work across a process boundary
-     *  (forked workers, remote daemons, or both). */
-    bool multiproc() const { return _transport != nullptr; }
-
-    /** Worker transport (ProcPool / RemotePool / MixedTransport), or
-     *  nullptr on the thread path. */
-    exec::ShardTransport *transport() { return _transport.get(); }
 
     /** Per-worker transport/liveness counters; empty on the thread
      *  path (no worker processes to report on). */
@@ -237,28 +226,22 @@ class EvalEngine
     /** Stage 1 under the fault-tolerant runner: draw, plus the
      *  per-candidate quality (`withQuality`) and performance stages,
      *  per shard — in the shard bodies on the thread path, in the
-     *  worker processes in proc mode. Fills in survivors. */
+     *  worker processes in fleet mode (`withQuality` = ask workers for
+     *  quality). Fills in survivors. */
     StepEval runShards(size_t step, const SampleBodyFn &body,
                        bool withQuality);
-
-    /** Proc-mode stage 1: draw coordinator-side, ship quality/perf to
-     *  the worker processes. `withQuality` = ask workers for quality
-     *  (the batched-quality overload sends perf-only / ack requests). */
-    void runProcStage(size_t step, const SampleBodyFn &body,
-                      bool withQuality, StepEval &ev);
 
     PerfStage _perf;
     const reward::RewardFunction &_reward;
     EvalEngineConfig _config;
     QualityFn _quality;
-    exec::ThreadPool _pool;
-    exec::ShardRunner _runner;
     /** Process/remote transport (procs > 0 or workers nonempty only).
      *  Registration order matters: the task must be registered before
      *  workers fork and before remote connections handshake. */
     std::unique_ptr<exec::ProcTaskRegistration> _taskReg;
     std::unique_ptr<exec::ShardTransport> _transport;
-    std::unique_ptr<exec::ProcRunner> _procRunner;
+    exec::ThreadPool _pool;
+    exec::ShardRunner _runner;
 };
 
 } // namespace h2o::eval

@@ -1,8 +1,5 @@
 #include "exec/fault_injector.h"
 
-#include <chrono>
-#include <thread>
-
 #include "common/logging.h"
 #include "common/rng.h"
 
@@ -57,33 +54,6 @@ FaultInjector::record(FaultKind kind)
     case FaultKind::None:
         break;
     }
-}
-
-AttemptAction
-strikeAttempt(FaultInjector *injector, size_t step, size_t shard,
-              size_t attempt, size_t maxAttempts, double backoffBaseMs)
-{
-    using Ms = std::chrono::duration<double, std::milli>;
-    if (!injector)
-        return AttemptAction::Run;
-    FaultKind fault = injector->decide(step, shard, attempt);
-    injector->record(fault);
-    switch (fault) {
-    case FaultKind::Preempt:
-        return AttemptAction::Degrade;
-    case FaultKind::Fail:
-        if (attempt + 1 < maxAttempts && backoffBaseMs > 0.0)
-            std::this_thread::sleep_for(
-                Ms(backoffBaseMs * static_cast<double>(1ULL << attempt)));
-        return AttemptAction::Retry;
-    case FaultKind::Straggle:
-        std::this_thread::sleep_for(
-            Ms(injector->config().stragglerDelayMs));
-        return AttemptAction::Run;
-    case FaultKind::None:
-        break;
-    }
-    return AttemptAction::Run;
 }
 
 } // namespace h2o::exec

@@ -54,9 +54,9 @@ struct FaultStats
 };
 
 /**
- * Deterministic fault oracle consulted by the shard runners before every
- * shard attempt (through strikeAttempt). decide() is const and
- * thread-safe; the counters record what was actually injected.
+ * Deterministic fault oracle consulted by ShardRunner before every shard
+ * attempt. decide() is const and thread-safe; the counters record what
+ * was actually injected.
  */
 class FaultInjector
 {
@@ -83,26 +83,6 @@ class FaultInjector
     FaultConfig _config;
     FaultStats _stats;
 };
-
-/** What a runner does with a shard attempt once its fault has struck. */
-enum class AttemptAction {
-    Run,     ///< execute the shard body (after any straggle delay)
-    Retry,   ///< the attempt failed: it is spent, try the next one
-    Degrade, ///< preempted: the shard is lost for this step
-};
-
-/**
- * The fault-attempt policy of every shard runner (ShardRunner threads,
- * ProcRunner processes and daemons): decide the fault for (step, shard,
- * attempt) and record it; a Preempt degrades the shard; a Fail backs off
- * exponentially (backoffBaseMs * 2^attempt, skipped after the last
- * attempt) and retries; a Straggle sleeps stragglerDelayMs and runs.
- * Faults strike BEFORE the body, so a struck attempt has no side
- * effects. A null injector always runs.
- */
-AttemptAction strikeAttempt(FaultInjector *injector, size_t step,
-                            size_t shard, size_t attempt,
-                            size_t maxAttempts, double backoffBaseMs);
 
 } // namespace h2o::exec
 

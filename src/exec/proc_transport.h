@@ -20,7 +20,7 @@
  * worker's socket (EPIPE on send, EOF on recv), never blocks on a
  * corpse, and can respawn the worker with respawnDead() — a fresh fork
  * of the CURRENT coordinator state. In-flight requests on a dead worker
- * are simply lost; the caller (ProcRunner) owns retry/degradation
+ * are simply lost; the caller (ShardRunner) owns retry/degradation
  * policy, mirroring the FaultInjector semantics of the thread runtime.
  *
  * Registration order matters: workers only know the tasks registered

@@ -16,7 +16,7 @@
  *     respawnDead() reconnects, and the daemon forks a fresh
  *     single-threaded session for the new connection. Pure tasks make
  *     the fresh session byte-equivalent to a fresh fork.
- *  3. Cached-request retries (owned by ProcRunner): a shard whose
+ *  3. Cached-request retries (owned by ShardRunner): a shard whose
  *     transport died is retried with the SAME request bytes, so
  *     per-shard RNG streams never advance twice.
  *

@@ -26,7 +26,7 @@ struct RunOptions
 {
     /**
      * Worker PROCESSES for the shard stage (ProcPool behind
-     * ProcRunner). 0 keeps the shard stage in-process on threads; >= 1
+     * ShardRunner). 0 keeps the shard stage in-process on threads; >= 1
      * forks that many workers (clamped to the shard count) that run
      * each shard's pure per-candidate work, while draws, fault
      * decisions, batched stages and aggregation stay coordinator-side.

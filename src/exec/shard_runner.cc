@@ -1,6 +1,11 @@
 #include "exec/shard_runner.h"
 
+#include <algorithm>
+#include <chrono>
+#include <thread>
+
 #include "common/logging.h"
+#include "exec/shard_transport.h"
 
 namespace h2o::exec {
 
@@ -29,40 +34,123 @@ StepReport::degraded() const
 // --------------------------------------------------------- ShardRunner
 
 ShardRunner::ShardRunner(ThreadPool &pool, ShardRunnerConfig config,
-                         FaultInjector *injector)
-    : _pool(pool), _config(config), _injector(injector)
+                         FaultInjector *injector, ShardTransport *transport)
+    : _pool(pool), _config(config), _injector(injector),
+      _transport(transport)
 {
     h2o_assert(_config.numShards > 0, "runner with zero shards");
     h2o_assert(_config.maxAttempts > 0, "runner with zero attempts");
     h2o_assert(_config.backoffBaseMs >= 0.0, "negative backoff");
 }
 
-ShardResult
-ShardRunner::runShard(size_t step, size_t shard,
-                      const std::function<void(size_t)> &body)
+bool
+ShardRunner::runAttempts(size_t step, size_t shard, size_t lane,
+                         const AttemptFn &work, ShardAttempt &st)
 {
-    ShardResult result;
-    for (size_t attempt = 0; attempt < _config.maxAttempts; ++attempt) {
-        result.attempts = attempt + 1;
-        AttemptAction action =
-            strikeAttempt(_injector, step, shard, attempt,
-                          _config.maxAttempts, _config.backoffBaseMs);
-        if (action == AttemptAction::Degrade)
-            break;
-        if (action == AttemptAction::Retry)
-            continue;
-        try {
-            body(shard);
-            result.state = attempt == 0 ? ShardState::Ok
-                                        : ShardState::Retried;
-            return result;
-        } catch (const std::exception &e) {
-            h2o::common::warn("shard ", shard, " attempt ", attempt,
-                              " failed: ", e.what());
+    using Ms = std::chrono::duration<double, std::milli>;
+    while (st.attemptsUsed < _config.maxAttempts) {
+        const size_t attempt = st.attemptsUsed++;
+        st.result.attempts = attempt + 1;
+        // Injected faults strike before the work: a preempted shard is
+        // lost for the step, a failed attempt is spent (exponential
+        // backoff, skipped after the last attempt), a straggler runs
+        // late.
+        FaultKind fault = FaultKind::None;
+        if (_injector) {
+            fault = _injector->decide(step, shard, attempt);
+            _injector->record(fault);
         }
+        if (fault == FaultKind::Preempt)
+            break;
+        if (fault == FaultKind::Fail) {
+            if (attempt + 1 < _config.maxAttempts &&
+                _config.backoffBaseMs > 0.0)
+                std::this_thread::sleep_for(
+                    Ms(_config.backoffBaseMs *
+                       static_cast<double>(1ULL << attempt)));
+            continue;
+        }
+        if (fault == FaultKind::Straggle)
+            std::this_thread::sleep_for(
+                Ms(_injector->config().stragglerDelayMs));
+        try {
+            // A worker death spends the attempt but keeps the encoded
+            // request; the shard (and everything queued behind it on
+            // this lane) waits for the respawn round.
+            if (!work(shard, lane, st))
+                return false;
+        } catch (const std::exception &e) {
+            // A thrown body or worker task: consume the attempt and
+            // re-run from the draw.
+            common::warn("shard ", shard, " attempt ", attempt,
+                         " failed: ", e.what());
+            st.request.reset();
+            continue;
+        }
+        st.result.state =
+            attempt == 0 ? ShardState::Ok : ShardState::Retried;
+        st.settled = true;
+        return true;
     }
-    result.state = ShardState::Degraded;
-    return result;
+    st.result.state = ShardState::Degraded;
+    st.settled = true;
+    return true;
+}
+
+StepReport
+ShardRunner::runLanes(size_t step, size_t lanes, const AttemptFn &work,
+                      std::vector<ShardAttempt> &shards)
+{
+    const size_t n = _config.numShards;
+    lanes = std::min(lanes, n);
+
+    // Rounds: every lane runs its unsettled shards; a worker death ends
+    // that lane's round early, and the dead slots are respawned from
+    // current coordinator state before the next round. Each death
+    // consumes an attempt of the lane's first pending shard, so the
+    // loop terminates.
+    for (bool pending = true; pending;) {
+        std::vector<char> died(lanes, 0);
+        auto runLane = [&](size_t lane) {
+            for (size_t s = lane; s < n; s += lanes) {
+                if (!shards[s].settled &&
+                    !runAttempts(step, s, lane, work, shards[s])) {
+                    died[lane] = 1;
+                    break;
+                }
+            }
+        };
+        if (lanes == 1) {
+            // One lane: nothing to overlap, so skip the hand-off.
+            runLane(0);
+        } else {
+            std::vector<std::future<void>> futures;
+            futures.reserve(lanes);
+            for (size_t lane = 0; lane < lanes; ++lane)
+                futures.push_back(
+                    _pool.submit([&runLane, lane] { runLane(lane); }));
+            // The cross-shard barrier: aggregation must not start
+            // before every shard has completed or been declared lost.
+            for (auto &f : futures)
+                f.get();
+        }
+
+        const size_t deaths = std::count(died.begin(), died.end(), 1);
+        _transportFailures += deaths;
+        pending = deaths > 0;
+        if (pending)
+            _transport->respawnDead();
+    }
+    ++(lanes == 1 ? _inlineSteps : _dispatchedSteps);
+
+    StepReport report;
+    report.shards.reserve(n);
+    for (const auto &st : shards) {
+        report.shards.push_back(st.result);
+        if (st.result.state == ShardState::Degraded)
+            ++_degradedShardSteps;
+    }
+    return report;
 }
 
 StepReport
@@ -70,35 +158,41 @@ ShardRunner::runStep(size_t step,
                      const std::function<void(size_t shard)> &body)
 {
     h2o_assert(body, "null shard body");
-    StepReport report;
-    report.shards.assign(_config.numShards, ShardResult{});
+    std::vector<ShardAttempt> shards(_config.numShards);
+    return runLanes(step, _pool.size(),
+                    [&](size_t s, size_t, ShardAttempt &) {
+                        body(s);
+                        return true;
+                    },
+                    shards);
+}
 
-    if (_pool.size() == 1) {
-        // One worker: run the shards inline in index order on this
-        // thread, skipping the submit/future/wake-up round trip per
-        // shard (there is nothing to overlap).
-        for (size_t s = 0; s < _config.numShards; ++s)
-            report.shards[s] = runShard(step, s, body);
-        ++_inlineSteps;
-    } else {
-        std::vector<std::future<void>> futures;
-        futures.reserve(_config.numShards);
-        for (size_t s = 0; s < _config.numShards; ++s) {
-            futures.push_back(
-                _pool.submit([this, step, s, &body, &report] {
-                    report.shards[s] = runShard(step, s, body);
-                }));
-        }
-        // The cross-shard barrier: aggregation must not start before
-        // every shard has completed or been declared lost.
-        for (auto &f : futures)
-            f.get();
-        ++_dispatchedSteps;
-    }
+StepReport
+ShardRunner::runStep(size_t step, const ProcShardTask &task)
+{
+    h2o_assert(_transport, "task step on a runner without a transport");
+    h2o_assert(!task.name.empty() && task.encode && task.decode,
+               "malformed proc shard task");
+    std::vector<ShardAttempt> shards(_config.numShards);
+    StepReport report = runLanes(
+        step, _transport->size(),
+        [&](size_t s, size_t slot, ShardAttempt &st) {
+            // Encode at most once per step: a transport retry resends
+            // the SAME bytes, so the shard's RNG stream advances once.
+            if (!st.request)
+                st.request = task.encode(s);
+            st.response =
+                _transport->call(slot, task.name, step, s, *st.request);
+            return st.response.has_value();
+        },
+        shards);
 
-    for (const auto &r : report.shards)
-        if (r.state == ShardState::Degraded)
-            ++_degradedShardSteps;
+    // Apply responses in ascending shard order on this thread — the
+    // order closure steps' callers aggregate survivors in, so decoders
+    // that touch shared state see the serial schedule.
+    for (size_t s = 0; s < shards.size(); ++s)
+        if (shards[s].response)
+            task.decode(s, *shards[s].response);
     return report;
 }
 

@@ -4,7 +4,7 @@
  * transports — forked local processes (ProcPool), remote TCP worker
  * daemons (RemotePool), or a mix of both (MixedTransport).
  *
- * ProcRunner drives one search step across whatever implements this
+ * ShardRunner drives one search step across whatever implements this
  * interface; because worker tasks are PURE functions of their request
  * bytes (see proc_transport.h), any transport — and any mix of
  * transports — produces byte-identical results to evaluating the same
@@ -131,12 +131,6 @@ class MixedTransport final : public ShardTransport
     void killWorker(size_t worker) override;
     pid_t workerPid(size_t worker) const override;
     ProcPoolStats stats() const override;
-
-    /** The underlying parts (telemetry / test hooks). */
-    const std::vector<std::unique_ptr<ShardTransport>> &parts() const
-    {
-        return _parts;
-    }
 
   private:
     /** Map a global slot to (part, local slot). */

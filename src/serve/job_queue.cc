@@ -20,13 +20,31 @@ jobStateName(JobState state)
     return "unknown";
 }
 
+namespace {
+
+/** The job's entry in `jobs` (const or not); fatal when unknown. */
+template <typename Jobs>
+auto &
+findJob(Jobs &jobs, uint64_t id)
+{
+    auto it = jobs.find(id);
+    if (it == jobs.end())
+        h2o_fatal("unknown job id ", id);
+    return it->second;
+}
+
+} // namespace
+
 JobInfo &
 JobQueue::infoLocked(uint64_t id)
 {
-    auto it = _jobs.find(id);
-    if (it == _jobs.end())
-        h2o_fatal("unknown job id ", id);
-    return it->second;
+    return findJob(_jobs, id);
+}
+
+const JobInfo &
+JobQueue::infoLocked(uint64_t id) const
+{
+    return findJob(_jobs, id);
 }
 
 uint64_t
@@ -99,14 +117,14 @@ JobState
 JobQueue::state(uint64_t id) const
 {
     std::lock_guard<std::mutex> lock(_mu);
-    return const_cast<JobQueue *>(this)->infoLocked(id).state;
+    return infoLocked(id).state;
 }
 
 JobInfo
 JobQueue::info(uint64_t id) const
 {
     std::lock_guard<std::mutex> lock(_mu);
-    return const_cast<JobQueue *>(this)->infoLocked(id);
+    return infoLocked(id);
 }
 
 std::vector<JobInfo>

@@ -91,6 +91,7 @@ class JobQueue
 
   private:
     JobInfo &infoLocked(uint64_t id);
+    const JobInfo &infoLocked(uint64_t id) const;
 
     mutable std::mutex _mu;
     std::map<uint64_t, JobInfo> _jobs;

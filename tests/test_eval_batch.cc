@@ -2,18 +2,24 @@
  * @file
  * Tests for the batched candidate-evaluation path: Simulator::runBatch
  * vs per-graph run(), PerfModel::predictBatch vs per-row predict(),
- * eval::EvalEngine thread-count invariance, and graceful degradation
- * when a FaultInjector drops individual candidates out of a batch.
+ * eval::EvalEngine thread-count invariance, engine rewards through the
+ * batched SimCache perf stage vs hand-rolled per-candidate rewards, and
+ * graceful degradation when a FaultInjector drops individual candidates
+ * out of a batch.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "arch/dlrm_arch.h"
+#include "baselines/quality_model.h"
 #include "common/rng.h"
+#include "eval/dlrm_timer.h"
 #include "eval/eval_engine.h"
 #include "exec/fault_injector.h"
 #include "perfmodel/perf_model.h"
@@ -231,7 +237,7 @@ runBatchedSearch(size_t threads)
 TEST(EvalEngine, BatchPathBitIdenticalAcrossThreadCounts)
 {
     sr::SearchOutcome t1 = runBatchedSearch(1);
-    sr::SearchOutcome t2 = runBatchedSearch(2);
+    sr::SearchOutcome t4 = runBatchedSearch(4);
     sr::SearchOutcome t8 = runBatchedSearch(8);
 
     auto expect_identical = [](const sr::SearchOutcome &a,
@@ -247,8 +253,74 @@ TEST(EvalEngine, BatchPathBitIdenticalAcrossThreadCounts)
             EXPECT_EQ(a.history[i].reward, b.history[i].reward);
         }
     };
-    expect_identical(t1, t2);
+    expect_identical(t1, t4);
     expect_identical(t1, t8);
+}
+
+// -------------------------------- batched perf stage vs hand-rolled
+
+// The same candidates evaluated (a) one at a time through hand-rolled
+// quality -> perf -> reward calls, and (b) through EvalEngine steps with
+// the batched performance stage (SimCache::getOrComputeBatch +
+// Simulator::runBatch behind CachedDlrmTimer::trainStepTimes, cold
+// cache, parallel fill). Pure functions: every reward is bitwise equal.
+TEST(EvalEngine, BatchedPerfStageRewardsMatchHandRolledBitwise)
+{
+    ss::DlrmSearchSpace space(arch::baselineDlrm());
+    const hw::Platform train = hw::trainingPlatform();
+    const hw::Platform serve = hw::servingPlatform();
+    rw::ReluReward reward(
+        {{"step_time", 1e-3, -2.0},
+         {"model_size", space.baseline().modelBytes(), -2.0}});
+    auto quality = [&](const ss::Sample &s) {
+        return 100.0 *
+               h2o::baselines::dlrmQualitySurrogate(space.decode(s));
+    };
+    const size_t steps = 3, shards = 4;
+    Rng rng(17);
+    std::vector<ss::Sample> candidates;
+    for (size_t i = 0; i < steps * shards; ++i)
+        candidates.push_back(space.decisions().uniformSample(rng));
+
+    std::vector<double> expected;
+    {
+        ev::CachedDlrmTimer timer(train, serve);
+        for (const auto &s : candidates) {
+            std::vector<double> perf{timer.trainStepTime(space, s),
+                                     space.decode(s).modelBytes()};
+            expected.push_back(reward.compute({quality(s), perf}));
+        }
+    }
+
+    for (size_t threads : {1u, 4u, 8u}) {
+        ev::CachedDlrmTimer timer(train, serve, 1 << 16, threads);
+        ev::PerfBatchFn perf_batch =
+            [&](std::span<const ss::Sample> batch) {
+                auto times = timer.trainStepTimes(space, batch);
+                std::vector<std::vector<double>> out;
+                for (size_t i = 0; i < batch.size(); ++i)
+                    out.push_back(
+                        {times[i], space.decode(batch[i]).modelBytes()});
+                return out;
+            };
+        ev::EvalEngineConfig cfg;
+        cfg.numShards = shards;
+        cfg.threads = threads;
+        ev::EvalEngine engine(perf_batch, reward, cfg, quality);
+        for (size_t step = 0; step < steps; ++step) {
+            auto e = engine.evaluate(
+                step, [&](size_t s, ss::Sample &sample) {
+                    sample = candidates[step * shards + s];
+                });
+            ASSERT_EQ(e.survivors.size(), shards);
+            for (size_t s = 0; s < shards; ++s)
+                EXPECT_EQ(std::bit_cast<uint64_t>(e.rewards[s]),
+                          std::bit_cast<uint64_t>(
+                              expected[step * shards + s]))
+                    << "threads " << threads << " step " << step
+                    << " shard " << s;
+        }
+    }
 }
 
 // ------------------------------------------- inline single-worker path

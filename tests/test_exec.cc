@@ -18,6 +18,8 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "common/flags.h"
 #include "common/parallel.h"
@@ -240,6 +242,51 @@ TEST(ShardRunner, FaultPatternIndependentOfThreadCount)
     EXPECT_EQ(degraded_pattern(1), degraded_pattern(4));
 }
 
+// Uneven lanes: 7 shards on 3 lanes (shard s on lane s % 3, lanes of 3,
+// 2 and 2 shards) under injected fail, preempt and straggle faults give
+// the same report and leave every shard's RNG stream at the same
+// position as one inline lane.
+TEST(ShardRunner, UnevenLanesMatchOneLane)
+{
+    auto run = [](size_t lanes) {
+        ex::FaultConfig cfg;
+        cfg.failProb = 0.25;
+        cfg.preemptProb = 0.15;
+        cfg.stragglerProb = 0.2;
+        cfg.stragglerDelayMs = 0.1;
+        cfg.seed = 2024;
+        ex::FaultInjector inj(cfg);
+        ex::ThreadPool pool(lanes);
+        ex::ShardRunner runner(pool, {7, 2, 0.0}, &inj);
+        Rng parent(5);
+        std::vector<Rng> rngs = ex::ThreadPool::splitRngs(parent, 7);
+        std::vector<std::pair<ex::ShardState, size_t>> reports;
+        for (size_t step = 0; step < 12; ++step) {
+            auto report = runner.runStep(
+                step, [&](size_t s) { (void)rngs[s].next64(); });
+            for (const auto &r : report.shards)
+                reports.emplace_back(r.state, r.attempts);
+        }
+        std::vector<uint64_t> positions;
+        for (auto &r : rngs)
+            positions.push_back(r.next64());
+        EXPECT_GT(inj.stats().failures.load(), 0u);
+        EXPECT_GT(inj.stats().preemptions.load(), 0u);
+        EXPECT_GT(inj.stats().straggles.load(), 0u);
+        return std::make_tuple(reports, positions, runner.inlineSteps(),
+                               runner.degradedShardSteps());
+    };
+    auto [oneReports, onePositions, oneInline, oneDegraded] = run(1);
+    auto [threeReports, threePositions, threeInline, threeDegraded] =
+        run(3);
+    EXPECT_EQ(oneInline, 12u);
+    EXPECT_EQ(threeInline, 0u);
+    EXPECT_GT(oneDegraded, 0u);
+    EXPECT_EQ(threeDegraded, oneDegraded);
+    EXPECT_EQ(threeReports, oneReports);
+    EXPECT_EQ(threePositions, onePositions);
+}
+
 // ---------------------------------------------------------- Checkpoint
 
 TEST(Checkpoint, RoundTripAndAtomicCommit)
@@ -448,7 +495,7 @@ TEST(ExecSearch, BitIdenticalAtAnyThreadCount)
 
     cfg.threads = 1;
     auto serial = runH2o(cfg);
-    for (size_t threads : {2u, 3u, 8u}) {
+    for (size_t threads : {3u, 4u, 8u}) {
         cfg.threads = threads;
         auto parallel = runH2o(cfg);
         expectIdenticalOutcomes(serial, parallel);

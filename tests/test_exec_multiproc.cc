@@ -3,7 +3,7 @@
  * Tests for the multi-process shard transport: wire-codec and
  * socket-frame round trips (property-tested over payload sizes from 0
  * bytes to multiple megabytes), ProcPool task dispatch / error
- * propagation / kill -9 death detection and respawn, ProcRunner retry
+ * propagation / kill -9 death detection and respawn, ShardRunner retry
  * and degradation semantics across process death, and the end-to-end
  * contracts on top: procs x threads bitwise A/B matrices for all three
  * steppers, fault-injection equivalence, a worker killed mid-run with
@@ -23,8 +23,8 @@
 #include "common/rng.h"
 #include "exec/checkpoint.h"
 #include "exec/fault_injector.h"
-#include "exec/proc_runner.h"
 #include "exec/proc_transport.h"
+#include "exec/shard_runner.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/traffic_generator.h"
 #include "reward/reward.h"
@@ -217,7 +217,7 @@ TEST(ProcPool, KilledWorkerIsDetectedAndRespawned)
     EXPECT_EQ(pool.stats().workers[1].respawns, 1u);
 }
 
-// ------------------------------------------------------------ ProcRunner
+// --------------------------------------------- ShardRunner task steps
 
 namespace {
 
@@ -231,7 +231,7 @@ shardValue(uint64_t step, uint64_t shard, uint64_t payload)
 
 } // namespace
 
-TEST(ProcRunner, KillMidStepRetriesWithSameBytesAndMatchesUnkilledRun)
+TEST(ShardRunnerTask, KillMidStepRetriesWithSameBytesAndMatchesUnkilledRun)
 {
     ex::ProcTaskRegistration task(
         "test/shard_value",
@@ -247,7 +247,9 @@ TEST(ProcRunner, KillMidStepRetriesWithSameBytesAndMatchesUnkilledRun)
     // determinism contract protects (a transport retry must NOT re-draw).
     auto runOnce = [&](size_t procs, bool kill) {
         ex::ProcPool pool(procs);
-        ex::ProcRunner runner(pool, ex::ShardRunnerConfig{4, 3, 0.0});
+        ex::ThreadPool lanes(pool.size());
+        ex::ShardRunner runner(lanes, ex::ShardRunnerConfig{4, 3, 0.0},
+                               nullptr, &pool);
         Rng parent(17);
         std::vector<Rng> rngs = ex::ThreadPool::splitRngs(parent, 4);
         std::vector<double> out(4, 0.0);
@@ -303,7 +305,7 @@ TEST(ProcRunner, KillMidStepRetriesWithSameBytesAndMatchesUnkilledRun)
     (void)oneReport;
 }
 
-TEST(ProcRunner, WorkerSuicideEveryAttemptDegradesShardStepCompletes)
+TEST(ShardRunnerTask, WorkerSuicideEveryAttemptDegradesShardStepCompletes)
 {
     // The worker task itself dies (raise SIGKILL) on every call for
     // shard 0, so every one of its attempts is a transport failure:
@@ -318,7 +320,9 @@ TEST(ProcRunner, WorkerSuicideEveryAttemptDegradesShardStepCompletes)
             return "v";
         });
     ex::ProcPool pool(1);
-    ex::ProcRunner runner(pool, ex::ShardRunnerConfig{2, 2, 0.0});
+    ex::ThreadPool lanes(1);
+    ex::ShardRunner runner(lanes, ex::ShardRunnerConfig{2, 2, 0.0},
+                           nullptr, &pool);
 
     size_t encodes = 0;
     std::string decoded;

@@ -421,7 +421,7 @@ TEST(MultiTargetSearch, BitIdenticalAtAnyThreadCount)
 {
     hw::TargetSet targets = hw::TargetSet::fromNames("tpuv4i,edgenpu");
     auto ref = MiniSearch(targets, 1).run();
-    for (size_t threads : {size_t{2}, size_t{8}}) {
+    for (size_t threads : {size_t{4}, size_t{8}}) {
         auto alt = MiniSearch(targets, threads).run();
         expectSameOutcome(ref, alt);
     }

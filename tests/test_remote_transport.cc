@@ -35,9 +35,9 @@
 
 #include "common/flags.h"
 #include "common/rng.h"
-#include "exec/proc_runner.h"
 #include "exec/proc_transport.h"
 #include "exec/remote_transport.h"
+#include "exec/shard_runner.h"
 #include "exec/shard_transport.h"
 #include "exec/wire_io.h"
 #include "exec/worker_daemon.h"
@@ -624,7 +624,7 @@ spawnByteSplitProxy(uint16_t target_port, uint64_t seed)
 TEST(PartialDelivery, ByteAtATimeProxyYieldsByteIdenticalOutcomes)
 {
     SKIP_WITHOUT_LOOPBACK();
-    // The same ProcRunner step driven over (a) a direct fork-local
+    // The same ShardRunner task step driven over (a) a direct fork-local
     // daemon and (b) a daemon behind the byte-splitting proxy: the
     // handshake and every task frame arrive fragmented, and the decoded
     // outcomes must still be byte-identical (frames are reassembled by
@@ -645,7 +645,9 @@ TEST(PartialDelivery, ByteAtATimeProxyYieldsByteIdenticalOutcomes)
         cfg.endpoints = ex::parseWorkerList(workers);
         cfg.requiredTasks = {"test/proxy_value"};
         ex::RemotePool pool(cfg);
-        ex::ProcRunner runner(pool, ex::ShardRunnerConfig{4, 3, 0.0});
+        ex::ThreadPool lanes(pool.size());
+        ex::ShardRunner runner(lanes, ex::ShardRunnerConfig{4, 3, 0.0},
+                               nullptr, &pool);
         Rng parent(17);
         std::vector<Rng> rngs = ex::ThreadPool::splitRngs(parent, 4);
         std::vector<double> out(4, 0.0);

@@ -148,7 +148,7 @@ TEST(Serve, ServedJobsMatchStandaloneAtAnyThreadCount)
     for (const auto &spec : specs)
         refs.push_back(sv::runStandalone(spec));
 
-    for (size_t threads : {1u, 2u, 8u}) {
+    for (size_t threads : {1u, 4u, 8u}) {
         sv::ServeConfig config;
         config.threads = threads;
         config.maxConcurrentJobs = 3;

@@ -147,7 +147,7 @@ TEST(SimCacheFill, ParallelFillBitIdenticalToSerial)
     EXPECT_EQ(serial.stats.hits, 0u);
     EXPECT_EQ(serial.stats.entries, 12u);
 
-    for (size_t threads : {2u, 8u}) {
+    for (size_t threads : {4u, 8u}) {
         FillOutcome par = coldFill(threads, /*chunk=*/3);
         std::string tag = "threads=" + std::to_string(threads);
         EXPECT_EQ(par.computedPositions, 12u) << tag;
