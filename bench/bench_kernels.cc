@@ -22,13 +22,25 @@
  *  - tensor allocations per steady-state DlrmSupernet::evaluateBatch
  *    call (the batched quality stage's no-grad path; target 0, and the
  *    bench exits non-zero when it regresses);
- *  - SimCache hit/miss counters for a stream that revisits candidates.
+ *  - SimCache hit/miss counters for a stream that revisits candidates;
+ *  - DlrmSupernet construction time, inline (in a one-worker pool task)
+ *    vs split across CPUs, for the serve jobs' small supernet and the
+ *    flagship one (examples/dlrm_search.cpp's baseline), each median of
+ *    several builds; the bench exits non-zero unless both builds save
+ *    the same checkpoint bytes;
+ *  - one embedding table's training step (several backward calls, then
+ *    SGD) with row-sparse gradient slots vs the dense vocab x width
+ *    accumulator and whole-table SgdOptimizer it replaced, median us
+ *    per step; the bench exits non-zero unless the weights agree bit
+ *    for bit.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,8 +50,10 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
+#include "nn/embedding.h"
 #include "nn/mlp.h"
 #include "nn/ops.h"
+#include "nn/optimizer.h"
 #include "nn/tensor.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/traffic_generator.h"
@@ -153,6 +167,173 @@ scoreParallel(const std::string &shape, size_t m, size_t k, size_t n,
           [&] { nn::tiled::matmulTransAMasked(a, g, cw, k, n); });
     score("matmul_transb_masked", cx,
           [&] { nn::tiled::matmulTransBMasked(g, b, cx, n, k); });
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
+/** The serve jobs' supernet baseline (serve/job.cc smallDlrm). */
+arch::DlrmArch
+serveSmallDlrm()
+{
+    arch::DlrmArch a;
+    a.numDenseFeatures = 4;
+    a.tables = {{2048, 8, 1.0}, {512, 8, 1.0}};
+    a.bottomMlp = {{16, 0}};
+    a.topMlp = {{32, 0}, {16, 0}};
+    a.globalBatch = 256;
+    return a;
+}
+
+/** The flagship supernet baseline (examples/dlrm_search.cpp). */
+arch::DlrmArch
+flagshipDlrm()
+{
+    arch::DlrmArch a;
+    a.numDenseFeatures = 8;
+    a.tables = {{65536, 24, 1.0}, {16384, 16, 1.0}, {4096, 16, 1.0},
+                {1024, 8, 2.0}};
+    a.bottomMlp = {{64, 0}, {32, 0}};
+    a.topMlp = {{128, 0}, {64, 0}};
+    a.globalBatch = 4096;
+    return a;
+}
+
+/** DlrmSupernet construction (default SupernetConfig), inline vs
+ *  split. */
+struct ConstructionScore
+{
+    std::string arch;
+    size_t weights = 0;
+    double inlineMs = 0.0;
+    double parallelMs = 0.0;
+    bool bitwiseEqual = false;
+    double speedup() const
+    {
+        return parallelMs > 0.0 ? inlineMs / parallelMs : 0.0;
+    }
+};
+
+ConstructionScore
+scoreConstruction(const std::string &name, const arch::DlrmArch &a,
+                  size_t reps, exec::ThreadPool &inline_pool)
+{
+    searchspace::DlrmSearchSpace space(a);
+    ConstructionScore s{name};
+    auto build = [&](std::string *bytes) {
+        common::Rng rng(21);
+        auto start = Clock::now();
+        supernet::DlrmSupernet net(space, {}, rng);
+        double ms = 1e3 * secondsSince(start);
+        s.weights = net.totalParamCount();
+        if (bytes) {
+            std::ostringstream os;
+            net.save(os);
+            *bytes = os.str();
+        }
+        return ms;
+    };
+    std::string inline_bytes, parallel_bytes;
+    std::vector<double> inline_ms, parallel_ms;
+    inline_pool
+        .submit([&] {
+            build(&inline_bytes);
+            for (size_t r = 0; r < reps; ++r)
+                inline_ms.push_back(build(nullptr));
+        })
+        .get();
+    build(&parallel_bytes);
+    for (size_t r = 0; r < reps; ++r)
+        parallel_ms.push_back(build(nullptr));
+    s.inlineMs = median(inline_ms);
+    s.parallelMs = median(parallel_ms);
+    s.bitwiseEqual = inline_bytes == parallel_bytes;
+    return s;
+}
+
+/** One embedding table's train step: row-sparse slots vs the dense
+ *  accumulator + SgdOptimizer the table used to carry. */
+struct SparseSgdScore
+{
+    std::string table;
+    size_t vocab = 0;
+    size_t width = 0;
+    size_t calls = 0;     ///< backward() calls per step
+    size_t batch = 0;     ///< examples (one id each) per call
+    size_t touchedRows = 0; ///< mean rows touched per step
+    double sparseUs = 0.0;
+    double denseUs = 0.0;
+    bool bitwiseEqual = false;
+    double speedup() const { return sparseUs > 0.0 ? denseUs / sparseUs : 0.0; }
+};
+
+/**
+ * Train one table for `steps` steps of `calls` backward calls, each on
+ * `batch` single-id examples drawn uniformly from the vocabulary (every
+ * call on the same table: the worst case for the slots). The dense side
+ * replays the same ids through the same scatter-add kernel into a
+ * vocab x width gradient and steps it with nn::SgdOptimizer.
+ */
+SparseSgdScore
+scoreSparseSgd(const std::string &name, size_t vocab, size_t width,
+               size_t calls, size_t batch, size_t steps, common::Rng &rng)
+{
+    SparseSgdScore s{name, vocab, width, calls, batch};
+    common::Rng init = rng.fork(5);
+    nn::EmbeddingTable table(vocab, width, init);
+    nn::Tensor dense_w = table.weights();
+    nn::Tensor dense_g(vocab, width);
+    nn::SgdOptimizer dense_opt({{&dense_w, &dense_g}}, 0.05);
+    const float lr = 0.05f;
+
+    std::vector<std::vector<nn::IdList>> ids(calls,
+                                             std::vector<nn::IdList>(batch));
+    std::vector<std::vector<uint32_t>> rows(calls,
+                                            std::vector<uint32_t>(batch));
+    std::vector<size_t> offsets(batch + 1);
+    for (size_t i = 0; i <= batch; ++i)
+        offsets[i] = i;
+    std::vector<float> inv(batch, 1.0f);
+    nn::Tensor grad = randomTensor(batch, width, rng);
+
+    std::vector<double> sparse_us, dense_us;
+    size_t touched = 0;
+    for (size_t step = 0; step < steps; ++step) {
+        for (size_t c = 0; c < calls; ++c)
+            for (size_t i = 0; i < batch; ++i) {
+                rows[c][i] = uint32_t(rng.uniformInt(0, int64_t(vocab) - 1));
+                ids[c][i] = {rows[c][i]};
+            }
+        // The forward lookups stage the ids; only the gradient scatter
+        // and the update are timed.
+        double us = 0.0;
+        for (size_t c = 0; c < calls; ++c) {
+            table.forward(ids[c]);
+            auto start = Clock::now();
+            table.backward(grad);
+            us += 1e6 * secondsSince(start);
+        }
+        touched += table.touchedRows();
+        auto start = Clock::now();
+        table.sgdStep(lr);
+        sparse_us.push_back(us + 1e6 * secondsSince(start));
+
+        start = Clock::now();
+        for (size_t c = 0; c < calls; ++c)
+            nn::embeddingScatterAdd(grad, rows[c], offsets, inv, dense_g,
+                                    width);
+        dense_opt.step();
+        dense_us.push_back(1e6 * secondsSince(start));
+    }
+    s.touchedRows = steps ? touched / steps : 0;
+    s.sparseUs = median(sparse_us);
+    s.denseUs = median(dense_us);
+    s.bitwiseEqual = sameBits(table.weights(), dense_w);
+    return s;
 }
 
 } // namespace
@@ -304,6 +485,35 @@ main(int argc, char **argv)
     double sim_sec = secondsSince(sim_start);
     sim::SimCacheStats cache = timer.cacheStats();
 
+    // --- Supernet construction, inline vs split.
+    const size_t reps = std::max<size_t>(3, iters / 20);
+    std::vector<ConstructionScore> construction;
+    construction.push_back(scoreConstruction("serve_small", serveSmallDlrm(),
+                                             reps, inline_pool));
+    construction.push_back(scoreConstruction("flagship", flagshipDlrm(),
+                                             reps, inline_pool));
+
+    // --- Sparse vs dense embedding SGD at each supernet's largest
+    // physical table (1024-row vocabulary cap x the 2.0 vocab scale, at
+    // the table's widest width); calls x batch as one serve job step
+    // (4 candidates, pipeline batch 32) and one h2o_supernet step (16
+    // shards, batch 64).
+    std::vector<SparseSgdScore> sparse;
+    sparse.push_back(scoreSparseSgd(
+        "serve_small",
+        2048,
+        searchspace::DlrmSearchSpace(serveSmallDlrm()).maxEmbeddingWidth(0),
+        4, 32, iters, rng));
+    sparse.push_back(scoreSparseSgd(
+        "flagship", 2048,
+        searchspace::DlrmSearchSpace(flagshipDlrm()).maxEmbeddingWidth(0), 16,
+        64, iters, rng));
+    bool sparse_equal = true;
+    for (const SparseSgdScore &sc : sparse)
+        sparse_equal = sparse_equal && sc.bitwiseEqual;
+    for (const ConstructionScore &sc : construction)
+        all_equal = all_equal && sc.bitwiseEqual;
+
     // --- Report.
     std::cout << "kernel GFLOP/s at (" << m << " x " << k << " x " << n
               << "), " << iters << " iters:\n";
@@ -335,6 +545,21 @@ main(int argc, char **argv)
               << " misses (hit rate " << cache.hitRate() << ") over "
               << evals << " evals in " << sim_sec
               << " s (checksum " << checksum << ")\n";
+    std::cout << "supernet construction, median of " << reps
+              << " builds (ms):\n";
+    for (const ConstructionScore &sc : construction)
+        std::cout << "  " << sc.arch << " (" << sc.weights
+                  << " weights): inline " << sc.inlineMs << ", parallel "
+                  << sc.parallelMs << " (" << sc.speedup() << "x)"
+                  << (sc.bitwiseEqual ? "" : " WEIGHTS DIFFER") << "\n";
+    std::cout << "embedding train step, sparse slots vs dense (us):\n";
+    for (const SparseSgdScore &sc : sparse)
+        std::cout << "  " << sc.table << " " << sc.vocab << "x" << sc.width
+                  << ", " << sc.calls << " x " << sc.batch << " ids, "
+                  << sc.touchedRows << " rows touched: sparse "
+                  << sc.sparseUs << ", dense " << sc.denseUs << " ("
+                  << sc.speedup() << "x)"
+                  << (sc.bitwiseEqual ? "" : " WEIGHTS DIFFER") << "\n";
 
     std::string json_path = flags.getString("json");
     std::ofstream js(json_path);
@@ -378,11 +603,37 @@ main(int argc, char **argv)
        << "},\n"
        << "  \"sim_cache\": {\"hits\": " << cache.hits << ", \"misses\": "
        << cache.misses << ", \"evictions\": " << cache.evictions
-       << ", \"hit_rate\": " << cache.hitRate() << "}\n"
+       << ", \"hit_rate\": " << cache.hitRate() << "},\n"
+       << "  \"supernet_construction_ms\": [\n";
+    for (size_t i = 0; i < construction.size(); ++i) {
+        const ConstructionScore &sc = construction[i];
+        js << "    {\"arch\": \"" << sc.arch << "\", \"weights\": "
+           << sc.weights << ", \"inline\": " << sc.inlineMs
+           << ", \"parallel\": " << sc.parallelMs << ", \"speedup\": "
+           << sc.speedup() << ", \"bitwise_equal\": "
+           << (sc.bitwiseEqual ? "true" : "false") << "}"
+           << (i + 1 < construction.size() ? "," : "") << "\n";
+    }
+    js << "  ],\n"
+       << "  \"embedding_sgd_step_us\": [\n";
+    for (size_t i = 0; i < sparse.size(); ++i) {
+        const SparseSgdScore &sc = sparse[i];
+        js << "    {\"table\": \"" << sc.table << "\", \"vocab\": "
+           << sc.vocab << ", \"width\": " << sc.width
+           << ", \"calls\": " << sc.calls << ", \"batch\": " << sc.batch
+           << ", \"touched_rows\": " << sc.touchedRows
+           << ", \"sparse\": " << sc.sparseUs << ", \"dense\": "
+           << sc.denseUs << ", \"speedup\": " << sc.speedup()
+           << ", \"bitwise_equal\": "
+           << (sc.bitwiseEqual ? "true" : "false") << "}"
+           << (i + 1 < sparse.size() ? "," : "") << "\n";
+    }
+    js << "  ]\n"
        << "}\n";
     std::cout << "wrote " << json_path << "\n";
     // The batched eval path's zero-alloc contract is load-bearing for
-    // the quality stage's throughput, and a split kernel must match its
-    // inline run bit for bit — fail the smoke when either breaks.
-    return eval_steady_allocs == 0 && all_equal ? 0 : 1;
+    // the quality stage's throughput, a split kernel or supernet build
+    // must match its inline run bit for bit, and sparse embedding SGD
+    // must match the dense update — fail the smoke when any breaks.
+    return eval_steady_allocs == 0 && all_equal && sparse_equal ? 0 : 1;
 }

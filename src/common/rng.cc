@@ -16,6 +16,29 @@ splitmix64(uint64_t &state)
     return z ^ (z >> 31);
 }
 
+void
+counterNormalPair(uint64_t key, uint64_t pair, float out[2])
+{
+    uint64_t state = key + pair * 0x9e3779b97f4a7c15ULL;
+    uint64_t bits = splitmix64(state);
+    constexpr float kTwoPow24Inv = 1.0f / 16777216.0f;
+    constexpr float kTwoPi = 6.28318530717958647692f;
+    float u1 = static_cast<float>((bits >> 40) + 1) * kTwoPow24Inv;
+    float u2 = static_cast<float>((bits >> 16) & 0xffffffULL) * kTwoPow24Inv;
+    float r = std::sqrt(-2.0f * std::log(u1));
+    float theta = kTwoPi * u2;
+    out[0] = r * std::cos(theta);
+    out[1] = r * std::sin(theta);
+}
+
+float
+counterNormal(uint64_t key, uint64_t index)
+{
+    float z[2];
+    counterNormalPair(key, index / 2, z);
+    return z[index % 2];
+}
+
 Rng::Rng(uint64_t seed) : _seed(seed), _engine(seed) {}
 
 Rng

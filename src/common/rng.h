@@ -96,6 +96,21 @@ class Rng
 /** SplitMix64 step, exposed for deterministic seed derivation. */
 uint64_t splitmix64(uint64_t &state);
 
+/**
+ * Counter-based standard normals: draws 2*pair and 2*pair+1 of the
+ * stream keyed by `key`, a pure function of (key, pair). One SplitMix64
+ * output (the pair-th of a SplitMix64 stream seeded with key) feeds one
+ * float Box-Muller transform: 24 bits for the radius, 24 for the angle.
+ * Because no draw depends on another, a fill can split its index range
+ * across threads and still write the same values. The radius draw lies
+ * in (0, 1], so every result is finite (|z| <= 5.77).
+ */
+void counterNormalPair(uint64_t key, uint64_t pair, float out[2]);
+
+/** Draw `index` of the counter-based normal stream keyed by `key`:
+ *  counterNormalPair(key, index / 2)[index % 2]. */
+float counterNormal(uint64_t key, uint64_t index);
+
 } // namespace h2o::common
 
 #endif // H2O_COMMON_RNG_H

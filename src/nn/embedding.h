@@ -16,6 +16,15 @@
  * family in nn/ops.h (selectable via H2O_KERNELS, bitwise identical across
  * implementations); ids are staged into flat CSR-style buffers
  * (rows/offsets/inv) that are reused across calls.
+ *
+ * Gradients are row-sparse: a batch touches a few hundred of the
+ * table's rows, so instead of a dense vocab x width accumulator each
+ * touched row gets a compact gradient slot, numbered in first-touch
+ * order. backward() runs the same scatter-add kernel over slot indices
+ * (per element the adds keep their order, so slot sums equal dense
+ * sums bit for bit), and sgdStep() updates the touched rows alone —
+ * for plain SGD an untouched row's update is `w -= lr * 0`, which
+ * leaves it bitwise as it was.
  */
 
 #ifndef H2O_NN_EMBEDDING_H
@@ -26,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/layer.h"
 #include "nn/tensor.h"
 
 namespace h2o::common { class Rng; }
@@ -46,12 +54,9 @@ class EmbeddingTable
      */
     EmbeddingTable(size_t vocab, size_t max_width, common::Rng &rng);
 
-    /** Allocate zeroed storage only; initWeights() fills it. Lets one
-     *  thread size many tables and others fill them. */
+    /** Allocate zeroed storage only, for a caller that writes every
+     *  weight itself (a model extracted from a supernet). */
     EmbeddingTable(size_t vocab, size_t max_width);
-
-    /** The rng constructor's fill: small-gaussian table values. */
-    void initWeights(common::Rng &rng);
 
     /** Select the active embedding width. @pre 0 < width <= maxWidth. */
     void setActiveWidth(size_t width);
@@ -96,16 +101,32 @@ class EmbeddingTable
                 Tensor &out);
 
     /**
-     * Scatter gradients back into the rows touched by the last forward.
+     * Scatter gradients back into the rows touched by the last forward,
+     * adding to what earlier backward() calls since the last sgdStep()
+     * or zeroGrad() accumulated.
      * @param grad_out [batch, activeWidth] upstream gradient.
      */
     void backward(const Tensor &grad_out);
 
-    /** Parameter/gradient storage for the optimizer. */
-    std::vector<ParamRef> params();
+    /**
+     * Plain SGD (no momentum, no decay) on the touched rows:
+     * w -= lr * g over every column of each, then zeroGrad(). Bitwise
+     * equal to a dense SGD step over the whole table.
+     */
+    void sgdStep(float lr);
 
-    /** Zero the gradient accumulator. */
-    void zeroGrad() { _grad.zero(); }
+    /** Drop the accumulated gradient: touched rows become untouched. */
+    void zeroGrad();
+
+    /** Accumulated gradient of one element (0 for an untouched row). */
+    float grad(size_t row, size_t col) const;
+
+    /** Rows touched since the last sgdStep() or zeroGrad(). */
+    size_t touchedRows() const { return _touched.size(); }
+
+    /** Table storage [vocab, maxWidth]. */
+    Tensor &weights() { return _table; }
+    const Tensor &weights() const { return _table; }
 
     /** Parameters used at the active width. */
     size_t activeParamCount() const { return _vocab * _activeWidth; }
@@ -121,7 +142,13 @@ class EmbeddingTable
     size_t _maxWidth;
     size_t _activeWidth;
     Tensor _table;  ///< vocab x maxWidth
-    Tensor _grad;
+    /** Gradient slots [capacity, maxWidth]: slot s accumulates the
+     *  gradient of row _touched[s]; slots past _touched.size() are
+     *  zero. */
+    Tensor _slotGrad;
+    std::vector<uint32_t> _slotOf;   ///< per row: its slot, or kNoSlot
+    std::vector<uint32_t> _touched;  ///< touched rows, first-touch order
+    std::vector<uint32_t> _slotRows; ///< _rows remapped to slots
     Tensor _out; ///< pooled lookup output (reused across calls)
     std::vector<uint32_t> _rows;   ///< hashed table rows, all examples
     std::vector<size_t> _offsets;  ///< per-example [start, end) into _rows

@@ -23,10 +23,17 @@ sigmoid(double x)
 LossResult
 bceWithLogits(const Tensor &logits, const Tensor &labels)
 {
+    LossResult res;
+    res.value = bceWithLogits(logits, labels, res.grad);
+    return res;
+}
+
+double
+bceWithLogits(const Tensor &logits, const Tensor &labels, Tensor &grad)
+{
     h2o_assert(logits.size() == labels.size() && logits.size() > 0,
                "bce shape mismatch");
-    LossResult res;
-    res.grad.resizeUninitialized(logits.shape()); // every element written
+    grad.resizeUninitialized(logits.shape()); // every element written
     double inv = 1.0 / static_cast<double>(logits.size());
     double total = 0.0;
     for (size_t i = 0; i < logits.size(); ++i) {
@@ -35,10 +42,9 @@ bceWithLogits(const Tensor &logits, const Tensor &labels)
         // Stable formulation: max(z,0) - z*y + log(1 + exp(-|z|))
         double loss = std::max(z, 0.0) - z * y + std::log1p(std::exp(-std::abs(z)));
         total += loss;
-        res.grad[i] = static_cast<float>((sigmoid(z) - y) * inv);
+        grad[i] = static_cast<float>((sigmoid(z) - y) * inv);
     }
-    res.value = total * inv;
-    return res;
+    return total * inv;
 }
 
 LossResult

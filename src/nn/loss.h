@@ -27,6 +27,11 @@ struct LossResult
  */
 LossResult bceWithLogits(const Tensor &logits, const Tensor &labels);
 
+/** As above, writing the gradient into a caller-owned tensor (reshaped
+ *  here, reusing its storage); returns the mean loss. */
+double bceWithLogits(const Tensor &logits, const Tensor &labels,
+                     Tensor &grad);
+
 /** Mean squared error. pred and target must be the same shape. */
 LossResult mseLoss(const Tensor &pred, const Tensor &target);
 

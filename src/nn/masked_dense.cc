@@ -10,24 +10,12 @@ namespace h2o::nn {
 
 MaskedDenseLayer::MaskedDenseLayer(size_t max_in, size_t max_out,
                                    Activation act, common::Rng &rng)
-    : MaskedDenseLayer(max_in, max_out, act)
-{
-    initWeights(rng);
-}
-
-MaskedDenseLayer::MaskedDenseLayer(size_t max_in, size_t max_out,
-                                   Activation act)
     : _maxIn(max_in), _maxOut(max_out), _activeIn(max_in),
       _activeOut(max_out), _act(act), _w(max_in, max_out),
       _b(std::vector<size_t>{max_out}), _wGrad(max_in, max_out),
       _bGrad(std::vector<size_t>{max_out})
 {
     h2o_assert(max_in > 0 && max_out > 0, "MaskedDense with zero max dims");
-}
-
-void
-MaskedDenseLayer::initWeights(common::Rng &rng)
-{
     _w.heInit(rng, _maxIn);
 }
 

@@ -28,15 +28,10 @@ class MaskedDenseLayer : public Layer
     /**
      * @param max_in  Largest input width any sub-network may use.
      * @param max_out Largest output width any sub-network may use.
+     * @param rng     Stream for He-normal weights (zero bias).
      */
     MaskedDenseLayer(size_t max_in, size_t max_out, Activation act,
                      common::Rng &rng);
-
-    /** Allocate zeroed parameters only; initWeights() fills them. */
-    MaskedDenseLayer(size_t max_in, size_t max_out, Activation act);
-
-    /** The rng constructor's fill: He-normal weights, zero bias. */
-    void initWeights(common::Rng &rng);
 
     /**
      * Select the active sub-network dimensions.

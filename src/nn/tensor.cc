@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 
 namespace h2o::nn {
@@ -20,6 +21,14 @@ shapeSize(const std::vector<size_t> &shape)
         n *= d;
     return shape.empty() ? 0 : n;
 }
+
+/** gaussianInit parts start on multiples of one 64-byte line of floats
+ *  (even, so no part splits a Box-Muller pair). */
+constexpr size_t kInitAlign = 16;
+
+/** parallelFor work units per gaussianInit element: half a log, sqrt
+ *  and sin/cos, about as long as a few dozen multiply-adds. */
+constexpr size_t kInitWorkPerElement = 32;
 
 std::atomic<size_t> g_allocCount{0};
 std::atomic<size_t> g_zeroFillCount{0};
@@ -180,19 +189,26 @@ Tensor::heInit(common::Rng &rng, size_t fan_in)
 }
 
 void
-Tensor::glorotInit(common::Rng &rng, size_t fan_in, size_t fan_out)
-{
-    h2o_assert(fan_in + fan_out > 0, "glorotInit with zero fans");
-    float limit = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-    for (auto &v : _data)
-        v = static_cast<float>(rng.uniform(-limit, limit));
-}
-
-void
 Tensor::gaussianInit(common::Rng &rng, float stddev)
 {
-    for (auto &v : _data)
-        v = static_cast<float>(rng.normal(0.0, stddev));
+    // Element i is stddev * counterNormal(key, i): a pure function of
+    // one key and the index, so the fill splits across CPUs by index
+    // and writes the same values at any width. Parts start on even
+    // indices, so each Box-Muller pair is drawn once.
+    const uint64_t key = rng.next64();
+    float *d = _data.data();
+    const size_t n = _data.size();
+    common::parallelFor(
+        n, kInitAlign, n * kInitWorkPerElement,
+        [=](size_t begin, size_t end) {
+            for (size_t i = begin; i < end; i += 2) {
+                float z[2];
+                common::counterNormalPair(key, i / 2, z);
+                d[i] = stddev * z[0];
+                if (i + 1 < end)
+                    d[i + 1] = stddev * z[1];
+            }
+        });
 }
 
 double

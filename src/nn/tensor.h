@@ -92,10 +92,13 @@ class Tensor
     /** Fill with He-normal noise (stddev sqrt(2/fan_in)). */
     void heInit(common::Rng &rng, size_t fan_in);
 
-    /** Fill with Glorot-uniform noise. */
-    void glorotInit(common::Rng &rng, size_t fan_in, size_t fan_out);
-
-    /** Fill with N(0, stddev) noise. */
+    /**
+     * Fill with N(0, stddev) noise: element i is
+     * stddev * common::counterNormal(key, i) for one key drawn from rng
+     * (rng advances by one draw whatever the size). The fill splits
+     * across CPUs (common::parallelFor) and is bitwise the same at any
+     * width.
+     */
     void gaussianInit(common::Rng &rng, float stddev);
 
     /** Sum of all elements. */

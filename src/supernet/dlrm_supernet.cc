@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <string>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/serialize.h"
 #include "nn/loss.h"
 #include "nn/ops.h"
@@ -14,10 +12,6 @@
 namespace h2o::supernet {
 
 namespace {
-
-/** parallelFor work units per randomly initialized weight: a gaussian
- *  draw costs tens of multiply-adds. */
-constexpr size_t kFillWorkPerElement = 32;
 
 /** Cap a width at the supernet scale-down limit, keeping it positive. */
 uint32_t
@@ -34,17 +28,10 @@ DlrmSupernet::DlrmSupernet(const searchspace::DlrmSearchSpace &space,
 {
     const auto &baseline = space.baseline();
 
-    // Every bank's tensors are allocated here, on the calling thread;
-    // the random fills are queued and run in parallel at the end. Each
-    // fill draws from its own rng.fork(salt), which reads only the
-    // seed, so the fill order cannot change a value.
-    struct WeightFill
-    {
-        uint64_t salt;
-        size_t elements;
-        std::function<void(common::Rng &)> fill;
-    };
-    std::vector<WeightFill> fills;
+    // Each random tensor draws one key from rng, in construction order,
+    // and fills itself across CPUs by element index
+    // (nn::Tensor::gaussianInit), so the weights do not depend on the
+    // thread count.
 
     // --- Embedding banks: coarse-grained per vocab choice (2), each
     // table fine-grained over width (1).
@@ -63,13 +50,9 @@ DlrmSupernet::DlrmSupernet(const searchspace::DlrmSearchSpace &space,
             uint64_t vocab = static_cast<uint64_t>(std::max(
                 16.0,
                 std::round(static_cast<double>(capped_base) * scale)));
-            auto table =
-                std::make_unique<nn::EmbeddingTable>(vocab, bank.maxWidth);
-            fills.push_back({(t << 8) | c, vocab * bank.maxWidth,
-                             [p = table.get()](common::Rng &r) {
-                                 p->initWeights(r);
-                             }});
-            bank.byVocabChoice.push_back(std::move(table));
+            bank.byVocabChoice.push_back(
+                std::make_unique<nn::EmbeddingTable>(vocab, bank.maxWidth,
+                                                     rng));
         }
     }
 
@@ -99,19 +82,9 @@ DlrmSupernet::DlrmSupernet(const searchspace::DlrmSearchSpace &space,
                 capWidth(space.maxMlpWidth(is_bottom, l), _config.mlpWidthCap);
             LayerBank bank;
             bank.full = std::make_unique<nn::MaskedDenseLayer>(
-                prev, out, nn::Activation::ReLU);
-            fills.push_back({0x1000 + (is_bottom ? 0 : 512) + l,
-                             size_t(prev) * out,
-                             [p = bank.full.get()](common::Rng &r) {
-                                 p->initWeights(r);
-                             }});
+                prev, out, nn::Activation::ReLU, rng);
             bank.lowRank = std::make_unique<nn::LowRankDenseLayer>(
-                prev, out, out, nn::Activation::ReLU);
-            fills.push_back({0x2000 + (is_bottom ? 0 : 512) + l,
-                             (size_t(prev) + out) * out,
-                             [p = bank.lowRank.get()](common::Rng &r) {
-                                 p->initWeights(r);
-                             }});
+                prev, out, out, nn::Activation::ReLU, rng);
             stack.push_back(std::move(bank));
             prev = out;
         }
@@ -125,30 +98,17 @@ DlrmSupernet::DlrmSupernet(const searchspace::DlrmSearchSpace &space,
     for (const auto &bank : _top)
         logit_in = std::max<uint32_t>(logit_in, bank.full->maxOut());
     _logit = std::make_unique<nn::MaskedDenseLayer>(
-        logit_in, 1, nn::Activation::Identity);
-    fills.push_back({0x3000, logit_in, [p = _logit.get()](common::Rng &r) {
-                         p->initWeights(r);
-                     }});
+        logit_in, 1, nn::Activation::Identity, rng);
 
-    size_t fill_elements = 0;
-    for (const WeightFill &f : fills)
-        fill_elements += f.elements;
-    common::parallelFor(fills.size(), 1, fill_elements * kFillWorkPerElement,
-                        [&](size_t begin, size_t end) {
-                            for (size_t i = begin; i < end; ++i) {
-                                common::Rng r = rng.fork(fills[i].salt);
-                                fills[i].fill(r);
-                            }
-                        });
-
-    // --- Optimizer over every shared parameter. SGD without momentum:
-    // sub-networks not touched by a step receive zero gradient and stay
-    // put, so sharing never bleeds updates into inactive candidates.
-    std::vector<nn::ParamRef> params;
+    // --- SGD without momentum over every shared parameter: sub-networks
+    // not touched by a step receive zero gradient and stay put, so
+    // sharing never bleeds updates into inactive candidates. Tables
+    // step their touched rows themselves (row-sparse gradients); the
+    // dense optimizer owns the MLP parameters.
     for (auto &bank : _tables)
         for (auto &table : bank.byVocabChoice)
-            for (auto &p : table->params())
-                params.push_back(p);
+            _allWeights.push_back(&table->weights());
+    std::vector<nn::ParamRef> params;
     for (auto *stack : {&_bottom, &_top}) {
         for (auto &bank : *stack) {
             for (auto &p : bank.full->params())
@@ -159,7 +119,8 @@ DlrmSupernet::DlrmSupernet(const searchspace::DlrmSearchSpace &space,
     }
     for (auto &p : _logit->params())
         params.push_back(p);
-    _allParams = params;
+    for (const nn::ParamRef &p : params)
+        _allWeights.push_back(p.value);
     _optimizer = std::make_unique<nn::SgdOptimizer>(std::move(params),
                                                     /*lr=*/0.05);
 }
@@ -708,9 +669,10 @@ DlrmSupernet::accumulateGradients(const pipeline::Batch &batch)
     nn::Tensor &labels = _ws.scratch("labels", batch.size(), 1);
     for (size_t i = 0; i < batch.size(); ++i)
         labels.at(i, 0) = batch.examples[i].label;
-    nn::LossResult loss = nn::bceWithLogits(logits, labels);
-    backward(loss.grad);
-    return loss.value;
+    nn::Tensor &grad = _ws.scratch("loss_grad", batch.size(), 1);
+    double loss = nn::bceWithLogits(logits, labels, grad);
+    backward(grad);
+    return loss;
 }
 
 void
@@ -718,6 +680,12 @@ DlrmSupernet::applyGradients(double lr)
 {
     _optimizer->setLearningRate(lr);
     _optimizer->step();
+    // The optimizer's float learning rate, for the same per-element
+    // update.
+    const float flr = static_cast<float>(lr);
+    for (auto &bank : _tables)
+        for (auto &table : bank.byVocabChoice)
+            table->sgdStep(flr);
 }
 
 double
@@ -761,7 +729,8 @@ DlrmSupernet::extractModel() const
     DlrmModel model;
     model.numDenseFeatures = _space.baseline().numDenseFeatures;
 
-    // Throwaway init stream: every extracted weight is overwritten.
+    // Throwaway init stream for the MLP layers: every extracted weight
+    // is overwritten.
     common::Rng scratch(1);
 
     // --- Embedding tables: copy the active width of the selected
@@ -771,15 +740,12 @@ DlrmSupernet::extractModel() const
         const TableBank &bank = _tables[t];
         if (bank.activeWidth == 0)
             continue;
-        const auto &src = bank.byVocabChoice[bank.vocabChoice];
-        auto dst = std::make_unique<nn::EmbeddingTable>(
-            src->vocab(), bank.activeWidth, scratch);
-        auto src_params =
-            const_cast<nn::EmbeddingTable &>(*src).params();
-        auto dst_params = dst->params();
-        const nn::Tensor &from = *src_params[0].value;
-        nn::Tensor &to = *dst_params[0].value;
-        for (size_t row = 0; row < src->vocab(); ++row)
+        const nn::EmbeddingTable &src = *bank.byVocabChoice[bank.vocabChoice];
+        auto dst = std::make_unique<nn::EmbeddingTable>(src.vocab(),
+                                                        bank.activeWidth);
+        const nn::Tensor &from = src.weights();
+        nn::Tensor &to = dst->weights();
+        for (size_t row = 0; row < src.vocab(); ++row)
             for (size_t d = 0; d < bank.activeWidth; ++d)
                 to.at(row, d) = from.at(row, d);
         model.tables[t] = std::move(dst);
@@ -798,32 +764,29 @@ DlrmSupernet::extractModel() const
                     nn::Activation::ReLU, scratch);
                 layer.lowRank->setActive(bank.activeIn, bank.activeRank,
                                          bank.activeOut);
-                auto src = const_cast<nn::LowRankDenseLayer &>(
-                               *bank.lowRank)
-                               .params();
+                const nn::LowRankDenseLayer &src = *bank.lowRank;
                 auto dst = layer.lowRank->params();
                 // U [in, rank], V [rank, out], b [out]: copy the active
                 // upper-left blocks.
                 for (size_t r = 0; r < bank.activeIn; ++r)
                     for (size_t c = 0; c < bank.activeRank; ++c)
-                        dst[0].value->at(r, c) = src[0].value->at(r, c);
+                        dst[0].value->at(r, c) = src.uTensor().at(r, c);
                 for (size_t r = 0; r < bank.activeRank; ++r)
                     for (size_t c = 0; c < bank.activeOut; ++c)
-                        dst[1].value->at(r, c) = src[1].value->at(r, c);
+                        dst[1].value->at(r, c) = src.vTensor().at(r, c);
                 for (size_t c = 0; c < bank.activeOut; ++c)
-                    (*dst[2].value)[c] = (*src[2].value)[c];
+                    (*dst[2].value)[c] = src.biasTensor()[c];
             } else {
                 layer.dense = std::make_unique<nn::DenseLayer>(
                     bank.activeIn, bank.activeOut, nn::Activation::ReLU,
                     scratch);
-                auto src =
-                    const_cast<nn::MaskedDenseLayer &>(*bank.full).params();
-                auto dst = layer.dense->params();
+                const nn::MaskedDenseLayer &src = *bank.full;
                 for (size_t r = 0; r < bank.activeIn; ++r)
                     for (size_t c = 0; c < bank.activeOut; ++c)
-                        dst[0].value->at(r, c) = src[0].value->at(r, c);
+                        layer.dense->weights().at(r, c) =
+                            src.weightTensor().at(r, c);
                 for (size_t c = 0; c < bank.activeOut; ++c)
-                    (*dst[1].value)[c] = (*src[1].value)[c];
+                    layer.dense->bias()[c] = src.biasTensor()[c];
             }
             out.push_back(std::move(layer));
         }
@@ -836,11 +799,10 @@ DlrmSupernet::extractModel() const
     size_t logit_in = _logit->activeIn();
     model.logitLayer = std::make_unique<nn::DenseLayer>(
         logit_in, 1, nn::Activation::Identity, scratch);
-    auto src = const_cast<nn::MaskedDenseLayer &>(*_logit).params();
-    auto dst = model.logitLayer->params();
     for (size_t r = 0; r < logit_in; ++r)
-        dst[0].value->at(r, 0) = src[0].value->at(r, 0);
-    (*dst[1].value)[0] = (*src[1].value)[0];
+        model.logitLayer->weights().at(r, 0) =
+            _logit->weightTensor().at(r, 0);
+    model.logitLayer->bias()[0] = _logit->biasTensor()[0];
     return model;
 }
 
@@ -867,9 +829,9 @@ void
 DlrmSupernet::save(std::ostream &os) const
 {
     common::writeTaggedScalar(os, "supernet_tensors",
-                              static_cast<double>(_allParams.size()));
-    for (size_t i = 0; i < _allParams.size(); ++i) {
-        const auto &data = _allParams[i].value->data();
+                              static_cast<double>(_allWeights.size()));
+    for (size_t i = 0; i < _allWeights.size(); ++i) {
+        const auto &data = _allWeights[i]->data();
         // float -> double is exact, and the tagged writer emits enough
         // digits for an exact double round-trip.
         std::vector<double> values(data.begin(), data.end());
@@ -882,19 +844,22 @@ DlrmSupernet::load(std::istream &is)
 {
     size_t tensors = static_cast<size_t>(
         common::readTaggedScalar(is, "supernet_tensors"));
-    if (tensors != _allParams.size())
+    if (tensors != _allWeights.size())
         h2o_fatal("supernet checkpoint has ", tensors,
-                  " tensors, this supernet has ", _allParams.size());
-    for (size_t i = 0; i < _allParams.size(); ++i) {
+                  " tensors, this supernet has ", _allWeights.size());
+    for (size_t i = 0; i < _allWeights.size(); ++i) {
         auto values = common::readTagged(is, "w" + std::to_string(i));
-        auto &data = _allParams[i].value->data();
+        auto &data = _allWeights[i]->data();
         if (values.size() != data.size())
             h2o_fatal("supernet checkpoint tensor ", i, " has ",
                       values.size(), " values, expected ", data.size());
         for (size_t j = 0; j < data.size(); ++j)
             data[j] = static_cast<float>(values[j]);
-        _allParams[i].grad->zero();
     }
+    _optimizer->zeroGrad();
+    for (auto &bank : _tables)
+        for (auto &table : bank.byVocabChoice)
+            table->zeroGrad();
 }
 
 } // namespace h2o::supernet

@@ -247,9 +247,11 @@ class DlrmSupernet
     /** Reused id-list pointer staging for batched embedding lookups. */
     std::vector<const nn::IdList *> _idPtrScratch;
 
+    /** SGD over the MLP parameters (tables step themselves). */
     std::unique_ptr<nn::SgdOptimizer> _optimizer;
-    /** Every shared parameter, in construction order (checkpointing). */
-    std::vector<nn::ParamRef> _allParams;
+    /** Every shared weight tensor, tables first, in construction order
+     *  (checkpointing). */
+    std::vector<nn::Tensor *> _allWeights;
 };
 
 } // namespace h2o::supernet

@@ -22,6 +22,7 @@
 #include "nn/masked_dense.h"
 #include "nn/mlp.h"
 #include "nn/normalizer.h"
+#include "nn/ops.h"
 #include "nn/optimizer.h"
 
 namespace nn = h2o::nn;
@@ -240,8 +241,7 @@ TEST(Embedding, LookupAveragesRows)
     nn::EmbeddingTable table(10, 4, rng);
     table.setActiveWidth(4);
     // Forge known rows.
-    auto params = table.params();
-    nn::Tensor &storage = *params[0].value;
+    nn::Tensor &storage = table.weights();
     storage.zero();
     storage.at(2, 0) = 1.0f;
     storage.at(3, 0) = 3.0f;
@@ -284,12 +284,90 @@ TEST(Embedding, BackwardScattersIntoTouchedRows)
     nn::Tensor grad(2, 2);
     grad.fill(1.0f);
     table.backward(grad);
-    auto params = table.params();
-    nn::Tensor &g = *params[0].grad;
     // Row 1: 1.0 from example 0 plus 0.5 from example 1.
-    EXPECT_FLOAT_EQ(g.at(1, 0), 1.5f);
-    EXPECT_FLOAT_EQ(g.at(4, 0), 0.5f);
-    EXPECT_FLOAT_EQ(g.at(0, 0), 0.0f); // untouched row
+    EXPECT_FLOAT_EQ(table.grad(1, 0), 1.5f);
+    EXPECT_FLOAT_EQ(table.grad(4, 0), 0.5f);
+    EXPECT_FLOAT_EQ(table.grad(0, 0), 0.0f); // untouched row
+    EXPECT_EQ(table.touchedRows(), 2u);
+}
+
+// The table's row-sparse gradient slots against a dense reference: the
+// same scatter-add kernel over a dense vocab x width accumulator, then a
+// dense SGD step over every element. Batches repeat ids within and
+// across examples, several backward() calls accumulate into one step,
+// the active width changes between them, and zeroGrad() drops a
+// step's gradient — weights and gradients must match bit for bit.
+TEST(Embedding, SparseGradientsMatchDenseReferenceBitwise)
+{
+    const size_t vocab = 40, width = 6;
+    Rng rng(31);
+    nn::EmbeddingTable table(vocab, width, rng);
+    nn::Tensor ref_w = table.weights();
+    nn::Tensor ref_g(vocab, width);
+    Rng data(32);
+
+    auto same_bits = [](const nn::Tensor &a, const nn::Tensor &b) {
+        return a.size() == b.size() &&
+               std::memcmp(a.data().data(), b.data().data(),
+                           a.size() * sizeof(float)) == 0;
+    };
+    auto accumulate = [&](size_t active) {
+        table.setActiveWidth(active);
+        std::vector<nn::IdList> ids(5);
+        for (auto &list : ids) {
+            size_t len = size_t(data.uniformInt(0, 4));
+            for (size_t j = 0; j < len; ++j)
+                list.push_back(uint32_t(data.uniformInt(0, 2 * vocab)));
+        }
+        ids[1] = {7, 7, 47}; // 47 hashes to row 7 too
+        table.forward(ids);
+        nn::Tensor grad_out(ids.size(), active);
+        for (size_t i = 0; i < grad_out.size(); ++i)
+            grad_out[i] = static_cast<float>(data.normal());
+        table.backward(grad_out);
+
+        std::vector<uint32_t> rows;
+        std::vector<size_t> offsets{0};
+        std::vector<float> inv;
+        for (const auto &list : ids) {
+            for (uint32_t id : list)
+                rows.push_back(id % vocab);
+            offsets.push_back(rows.size());
+            inv.push_back(list.empty() ? 0.0f : 1.0f / float(list.size()));
+        }
+        nn::embeddingScatterAdd(grad_out, rows, offsets, inv, ref_g,
+                                active);
+    };
+    auto grads_match = [&] {
+        for (size_t r = 0; r < vocab; ++r)
+            for (size_t c = 0; c < width; ++c) {
+                float got = table.grad(r, c), want = ref_g.at(r, c);
+                if (std::memcmp(&got, &want, sizeof(float)) != 0)
+                    return false;
+            }
+        return true;
+    };
+
+    const float lr = 0.3f;
+    for (size_t step = 0; step < 6; ++step) {
+        for (size_t call = 0; call < 3; ++call)
+            accumulate(call == 1 ? 4 : width);
+        ASSERT_TRUE(grads_match()) << "step " << step;
+        if (step == 2) {
+            table.zeroGrad();
+            ref_g.zero();
+            EXPECT_EQ(table.touchedRows(), 0u);
+            ASSERT_TRUE(grads_match());
+            accumulate(width);
+        }
+        table.sgdStep(lr);
+        for (size_t i = 0; i < ref_w.size(); ++i)
+            ref_w[i] -= lr * ref_g[i];
+        ref_g.zero();
+        ASSERT_TRUE(same_bits(table.weights(), ref_w)) << "step " << step;
+        EXPECT_EQ(table.touchedRows(), 0u);
+        ASSERT_TRUE(grads_match());
+    }
 }
 
 TEST(Embedding, EmptyIdListYieldsZeroVector)

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "exec/thread_pool.h"
 #include "nn/activation.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
@@ -52,6 +55,68 @@ TEST(Tensor, HeInitStatistics)
         var += (v - mean) * (v - mean);
     var /= t.size();
     EXPECT_NEAR(std::sqrt(var), expected_std, 0.01);
+}
+
+// gaussianInit draws one key and makes element i a pure function of
+// (key, i): a tensor large enough to split across CPUs must equal its
+// per-index serial reference bit for bit, and so must a fill that runs
+// inline inside a pool task.
+TEST(Tensor, GaussianInitSplitEqualsPerIndexReference)
+{
+    const float stddev = 0.05f;
+    auto fill = [&] {
+        h2o::common::Rng rng(17);
+        nn::Tensor t(300, 301); // odd size: the last pair is half used
+        t.gaussianInit(rng, stddev);
+        return t;
+    };
+    const size_t splits_before = h2o::common::parallelSplitCount();
+    nn::Tensor split = fill();
+    if (h2o::common::parallelWidth() > 1) {
+        EXPECT_GT(h2o::common::parallelSplitCount(), splits_before);
+    }
+    nn::Tensor inline_fill;
+    {
+        h2o::exec::ThreadPool pool(1);
+        pool.submit([&] { inline_fill = fill(); }).get();
+    }
+    const uint64_t key = h2o::common::Rng(17).next64();
+    std::vector<float> reference(split.size());
+    for (size_t i = 0; i < reference.size(); ++i)
+        reference[i] = stddev * h2o::common::counterNormal(key, i);
+    ASSERT_EQ(split.size(), reference.size());
+    EXPECT_EQ(0, std::memcmp(split.data().data(), reference.data(),
+                             reference.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(inline_fill.data().data(), reference.data(),
+                             reference.size() * sizeof(float)));
+}
+
+TEST(Tensor, GaussianInitMomentsOverManyDraws)
+{
+    h2o::common::Rng rng(3);
+    nn::Tensor t(1024, 1024 + 3);
+    t.gaussianInit(rng, 2.0f);
+    const double n = static_cast<double>(t.size());
+    double sum = 0.0, sq = 0.0, within = 0.0;
+    for (float v : t.data()) {
+        ASSERT_TRUE(std::isfinite(v));
+        sum += v;
+        sq += double(v) * v;
+        within += std::abs(v) < 2.0f ? 1.0 : 0.0;
+    }
+    const double mean = sum / n;
+    // Standard error of the mean is 2 / sqrt(n) ~ 0.002.
+    EXPECT_NEAR(mean, 0.0, 0.01);
+    EXPECT_NEAR(std::sqrt(sq / n - mean * mean), 2.0, 0.01);
+    // P(|z| < 1) for a standard normal.
+    EXPECT_NEAR(within / n, 0.6827, 0.003);
+    // Consecutive tensors from one stream get different keys.
+    nn::Tensor u(4, 4);
+    u.gaussianInit(rng, 2.0f);
+    nn::Tensor v(4, 4);
+    v.gaussianInit(rng, 2.0f);
+    EXPECT_NE(0, std::memcmp(u.data().data(), v.data().data(),
+                             u.size() * sizeof(float)));
 }
 
 TEST(Tensor, OutOfBoundsPanics)

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <string>
 
 #include "exec/checkpoint.h"
 #include "serve/scheduler.h"
@@ -183,56 +184,64 @@ TEST(Serve, SupernetAndTunasKindsMatchStandalone)
     sv::StandaloneRun super_ref = sv::runStandalone(super);
     sv::StandaloneRun tunas_ref = sv::runStandalone(tunas);
 
-    sv::ServeConfig config;
-    config.threads = 2;
-    config.maxConcurrentJobs = 2;
-    config.stepsPerSlice = 1; // worst case: a round per step
-    sv::Server server(config);
-    uint64_t sid = server.submit(super);
-    uint64_t tid = server.submit(tunas);
-    server.runUntilIdle();
-    expectMatchesStandalone(server, sid, super_ref);
-    expectMatchesStandalone(server, tid, tunas_ref);
+    for (size_t threads : {1u, 4u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        sv::ServeConfig config;
+        config.threads = threads;
+        config.maxConcurrentJobs = 2;
+        config.stepsPerSlice = 1; // worst case: a round per step
+        sv::Server server(config);
+        uint64_t sid = server.submit(super);
+        uint64_t tid = server.submit(tunas);
+        server.runUntilIdle();
+        expectMatchesStandalone(server, sid, super_ref);
+        expectMatchesStandalone(server, tid, tunas_ref);
+    }
 }
 
 // ------------------------------------------------------- pause / resume
 
 TEST(Serve, PauseResumeMatchesUninterruptedRun)
 {
-    std::string dir = testing::TempDir() + "/h2o_serve_pause";
-    std::string mkdir = "mkdir -p " + dir;
-    ASSERT_EQ(std::system(mkdir.c_str()), 0);
-
     sv::JobSpec spec = surrogateSpec("pausee", 51, 8);
     sv::StandaloneRun ref = sv::runStandalone(spec);
 
-    sv::ServeConfig config;
-    config.threads = 2;
-    config.maxConcurrentJobs = 2;
-    config.stepsPerSlice = 2;
-    config.checkpointDir = dir;
-    sv::Server server(config);
-    uint64_t id = server.submit(spec);
-    server.submit(surrogateSpec("other", 52, 8));
+    for (size_t threads : {1u, 4u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        std::string dir = testing::TempDir() + "/h2o_serve_pause_t" +
+                          std::to_string(threads);
+        std::string mkdir = "mkdir -p " + dir;
+        ASSERT_EQ(std::system(mkdir.c_str()), 0);
 
-    // Pause mid-run; the slot drains while the job sits checkpointed.
-    server.runRound();
-    ASSERT_TRUE(server.pauseJob(id));
-    server.runRound();
-    EXPECT_EQ(server.queue().state(id), sv::JobState::Paused);
-    EXPECT_TRUE(
-        h2o::exec::CheckpointReader::exists(server.checkpointPathFor(id)));
-    size_t paused_at = server.queue().info(id).stepsDone;
-    EXPECT_LT(paused_at, spec.numSteps);
+        sv::ServeConfig config;
+        config.threads = threads;
+        config.maxConcurrentJobs = 2;
+        config.stepsPerSlice = 2;
+        config.checkpointDir = dir;
+        sv::Server server(config);
+        uint64_t id = server.submit(spec);
+        server.submit(surrogateSpec("other", 52, 8));
 
-    server.runRound();
-    server.resumeJob(id);
-    server.runUntilIdle();
-    EXPECT_EQ(server.queue().state(id), sv::JobState::Done);
-    expectMatchesStandalone(server, id, ref);
-    // Finished jobs clean up their checkpoint.
-    EXPECT_FALSE(
-        h2o::exec::CheckpointReader::exists(server.checkpointPathFor(id)));
+        // Pause mid-run; the slot drains while the job sits
+        // checkpointed.
+        server.runRound();
+        ASSERT_TRUE(server.pauseJob(id));
+        server.runRound();
+        EXPECT_EQ(server.queue().state(id), sv::JobState::Paused);
+        EXPECT_TRUE(h2o::exec::CheckpointReader::exists(
+            server.checkpointPathFor(id)));
+        size_t paused_at = server.queue().info(id).stepsDone;
+        EXPECT_LT(paused_at, spec.numSteps);
+
+        server.runRound();
+        server.resumeJob(id);
+        server.runUntilIdle();
+        EXPECT_EQ(server.queue().state(id), sv::JobState::Done);
+        expectMatchesStandalone(server, id, ref);
+        // Finished jobs clean up their checkpoint.
+        EXPECT_FALSE(h2o::exec::CheckpointReader::exists(
+            server.checkpointPathFor(id)));
+    }
 }
 
 TEST(Serve, KillAndResumeMatchesUninterruptedRun)
@@ -242,10 +251,6 @@ TEST(Serve, KillAndResumeMatchesUninterruptedRun)
     // directory and the same submission order (so ids match), picks up
     // the half-finished steppers from disk, and must land on exactly
     // the standalone bytes.
-    std::string dir = testing::TempDir() + "/h2o_serve_kill";
-    std::string mkdir = "mkdir -p " + dir;
-    ASSERT_EQ(std::system(mkdir.c_str()), 0);
-
     std::vector<sv::JobSpec> specs = {
         surrogateSpec("k1", 61, 8, 0.9),
         surrogateSpec("k2", 62, 8, 1.1),
@@ -254,53 +259,61 @@ TEST(Serve, KillAndResumeMatchesUninterruptedRun)
     for (const auto &spec : specs)
         refs.push_back(sv::runStandalone(spec));
 
-    sv::ServeConfig config;
-    config.threads = 2;
-    config.maxConcurrentJobs = 2;
-    config.stepsPerSlice = 2;
-    config.checkpointDir = dir;
-    config.checkpointEvery = 1;
-    {
-        sv::Server a(config);
-        for (const auto &spec : specs)
-            a.submit(spec);
-        a.runRound(); // partial progress, then "kill" (destructor)
-        EXPECT_TRUE(h2o::exec::CheckpointReader::exists(
-            a.checkpointPathFor(1)));
-    }
+    for (size_t threads : {1u, 4u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        std::string dir = testing::TempDir() + "/h2o_serve_kill_t" +
+                          std::to_string(threads);
+        std::string mkdir = "mkdir -p " + dir;
+        ASSERT_EQ(std::system(mkdir.c_str()), 0);
 
-    sv::Server b(config);
-    std::vector<uint64_t> ids;
-    for (const auto &spec : specs)
-        ids.push_back(b.submit(spec));
-    b.runUntilIdle();
-    for (size_t i = 0; i < ids.size(); ++i) {
-        EXPECT_EQ(b.queue().state(ids[i]), sv::JobState::Done);
-        const sv::JobResult *served = b.result(ids[i]);
-        ASSERT_NE(served, nullptr);
-        // The full telemetry was split across two server lifetimes, so
-        // compare outcome + history; the resumed tail rows must carry
-        // the standalone values for their steps.
-        EXPECT_TRUE(
-            sameBits(served->bestReward, refs[i].result.bestReward));
-        EXPECT_TRUE(sameBits(served->outcome.finalMeanReward,
-                             refs[i].result.outcome.finalMeanReward));
-        EXPECT_EQ(served->outcome.finalSample,
-                  refs[i].result.outcome.finalSample);
-        EXPECT_EQ(served->paretoIndices, refs[i].result.paretoIndices);
-        ASSERT_EQ(served->outcome.history.size(),
-                  refs[i].result.outcome.history.size());
-        for (size_t h = 0; h < served->outcome.history.size(); ++h)
+        sv::ServeConfig config;
+        config.threads = threads;
+        config.maxConcurrentJobs = 2;
+        config.stepsPerSlice = 2;
+        config.checkpointDir = dir;
+        config.checkpointEvery = 1;
+        {
+            sv::Server a(config);
+            for (const auto &spec : specs)
+                a.submit(spec);
+            a.runRound(); // partial progress, then "kill" (destructor)
+            EXPECT_TRUE(h2o::exec::CheckpointReader::exists(
+                a.checkpointPathFor(1)));
+        }
+
+        sv::Server b(config);
+        std::vector<uint64_t> ids;
+        for (const auto &spec : specs)
+            ids.push_back(b.submit(spec));
+        b.runUntilIdle();
+        for (size_t i = 0; i < ids.size(); ++i) {
+            EXPECT_EQ(b.queue().state(ids[i]), sv::JobState::Done);
+            const sv::JobResult *served = b.result(ids[i]);
+            ASSERT_NE(served, nullptr);
+            // The full telemetry was split across two server lifetimes,
+            // so compare outcome + history; the resumed tail rows must
+            // carry the standalone values for their steps.
             EXPECT_TRUE(
-                sameBits(served->outcome.history[h].reward,
-                         refs[i].result.outcome.history[h].reward));
-        auto rows = b.telemetry().rowsForJob(ids[i]);
-        ASSERT_FALSE(rows.empty());
-        for (const auto &row : rows) {
-            const auto &ref_row = refs[i].rows.at(row.step);
-            EXPECT_EQ(ref_row.step, row.step);
-            EXPECT_TRUE(sameBits(row.meanReward, ref_row.meanReward));
-            EXPECT_TRUE(sameBits(row.bestReward, ref_row.bestReward));
+                sameBits(served->bestReward, refs[i].result.bestReward));
+            EXPECT_TRUE(sameBits(served->outcome.finalMeanReward,
+                                 refs[i].result.outcome.finalMeanReward));
+            EXPECT_EQ(served->outcome.finalSample,
+                      refs[i].result.outcome.finalSample);
+            EXPECT_EQ(served->paretoIndices, refs[i].result.paretoIndices);
+            ASSERT_EQ(served->outcome.history.size(),
+                      refs[i].result.outcome.history.size());
+            for (size_t h = 0; h < served->outcome.history.size(); ++h)
+                EXPECT_TRUE(
+                    sameBits(served->outcome.history[h].reward,
+                             refs[i].result.outcome.history[h].reward));
+            auto rows = b.telemetry().rowsForJob(ids[i]);
+            ASSERT_FALSE(rows.empty());
+            for (const auto &row : rows) {
+                const auto &ref_row = refs[i].rows.at(row.step);
+                EXPECT_EQ(ref_row.step, row.step);
+                EXPECT_TRUE(sameBits(row.meanReward, ref_row.meanReward));
+                EXPECT_TRUE(sameBits(row.bestReward, ref_row.bestReward));
+            }
         }
     }
 }
@@ -334,25 +347,28 @@ TEST(Serve, FailedJobDoesNotDisturbOtherTenants)
     sv::JobSpec good = surrogateSpec("good", 81, 5);
     sv::StandaloneRun ref = sv::runStandalone(good);
 
-    sv::ServeConfig config;
-    config.threads = 2;
-    config.maxConcurrentJobs = 2;
-    config.stepsPerSlice = 2;
-    config.factory = [](const sv::JobSpec &spec,
-                        h2o::sim::SimCache &cache) {
-        if (spec.name == "bad")
-            throw std::runtime_error("tenant misconfigured");
-        return sv::makeDefaultJob(spec, cache);
-    };
-    sv::Server server(config);
-    uint64_t bad = server.submit(surrogateSpec("bad", 80, 5));
-    uint64_t ok = server.submit(good);
-    server.runUntilIdle();
+    for (size_t threads : {1u, 4u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        sv::ServeConfig config;
+        config.threads = threads;
+        config.maxConcurrentJobs = 2;
+        config.stepsPerSlice = 2;
+        config.factory = [](const sv::JobSpec &spec,
+                            h2o::sim::SimCache &cache) {
+            if (spec.name == "bad")
+                throw std::runtime_error("tenant misconfigured");
+            return sv::makeDefaultJob(spec, cache);
+        };
+        sv::Server server(config);
+        uint64_t bad = server.submit(surrogateSpec("bad", 80, 5));
+        uint64_t ok = server.submit(good);
+        server.runUntilIdle();
 
-    EXPECT_EQ(server.queue().state(bad), sv::JobState::Failed);
-    EXPECT_EQ(server.queue().info(bad).error, "tenant misconfigured");
-    EXPECT_EQ(server.queue().state(ok), sv::JobState::Done);
-    expectMatchesStandalone(server, ok, ref);
+        EXPECT_EQ(server.queue().state(bad), sv::JobState::Failed);
+        EXPECT_EQ(server.queue().info(bad).error, "tenant misconfigured");
+        EXPECT_EQ(server.queue().state(ok), sv::JobState::Done);
+        expectMatchesStandalone(server, ok, ref);
+    }
 }
 
 // ----------------------------------------------------------- telemetry

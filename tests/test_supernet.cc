@@ -68,10 +68,9 @@ struct Fixture
 
 } // namespace
 
-// The constructor sizes every bank on the calling thread, then fills the
-// banks across CPUs, each from its own rng.fork(salt). Built inside a
-// pool task, every fill runs inline in bank order: the checkpoints must
-// be the same bytes.
+// Each weight tensor draws one key from the constructor's rng and fills
+// itself across CPUs by element index. Built inside a pool task, every
+// fill runs inline: the checkpoints must be the same bytes.
 TEST(Supernet, ParallelConstructionBitIdenticalToInline)
 {
     arch::DlrmArch a;
@@ -261,6 +260,43 @@ TEST(Supernet, GradAccumulationMatchesTrainStep)
     auto e1 = f1.net.evaluate(probe);
     auto e2 = f2.net.evaluate(probe);
     EXPECT_NEAR(e1.logLoss, e2.logLoss, 1e-9);
+}
+
+// load() drops the gradients accumulated before it, sparse table slots
+// included: a step right after it leaves the loaded weights as they are.
+TEST(Supernet, LoadClearsAccumulatedGradients)
+{
+    Fixture f(7);
+    std::ostringstream saved;
+    f.net.save(saved);
+    f.net.configure(f.space.baselineSample());
+    (void)f.net.accumulateGradients(f.traffic.nextBatch(32));
+
+    std::istringstream is(saved.str());
+    f.net.load(is);
+    f.net.applyGradients(0.1);
+    std::ostringstream after;
+    f.net.save(after);
+    EXPECT_EQ(saved.str(), after.str());
+}
+
+// A warmed-up train step (several accumulate calls, then one update)
+// reuses every buffer, the tables' gradient slots included.
+TEST(Supernet, SteadyStateTrainStepAllocatesNoTensors)
+{
+    Fixture f(8);
+    f.net.configure(f.space.baselineSample());
+    auto step = [&] {
+        for (int call = 0; call < 3; ++call)
+            (void)f.net.accumulateGradients(f.traffic.nextBatch(32));
+        f.net.applyGradients(0.05);
+    };
+    for (int i = 0; i < 5; ++i)
+        step();
+    nn::resetTensorAllocCount();
+    for (int i = 0; i < 10; ++i)
+        step();
+    EXPECT_EQ(nn::tensorAllocCount(), 0u);
 }
 
 TEST(Supernet, RandomSamplesAllConfigure)
