@@ -100,10 +100,9 @@ main(int argc, char **argv)
         auto start = std::chrono::steady_clock::now();
         for (size_t i = 0; i < steps; ++i) {
             auto lease = pipe->lease();
-            net.accumulateGradients(lease.batch());
+            net.trainStep(lease.batch(), 0.05);
             lease.markAlphaUse();
             lease.markWeightUse();
-            net.applyGradients(0.05);
         }
         vanilla_sec = seconds(start);
     }

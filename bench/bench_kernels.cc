@@ -32,7 +32,13 @@
  *    SGD) with row-sparse gradient slots vs the dense vocab x width
  *    accumulator and whole-table SgdOptimizer it replaced, median us
  *    per step; the bench exits non-zero unless the weights agree bit
- *    for bit.
+ *    for bit;
+ *  - one data-parallel supernet train step on the flagship DLRM (16
+ *    shards of batch 64: plan and lay out, per-shard forward/backward
+ *    on the lanes, the fixed-order reduce + SGD), median ms per step
+ *    with one lane (kernels split across CPUs) vs nproc lanes (kernels
+ *    inline); the bench exits non-zero unless both leave the same
+ *    weights bit for bit.
  */
 
 #include <algorithm>
@@ -49,6 +55,7 @@
 #include "common/flags.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "exec/shard_runner.h"
 #include "exec/thread_pool.h"
 #include "nn/embedding.h"
 #include "nn/mlp.h"
@@ -336,6 +343,67 @@ scoreSparseSgd(const std::string &name, size_t vocab, size_t width,
     return s;
 }
 
+/** One supernet train step's wall time at one lane count. */
+struct TrainStepScore
+{
+    size_t lanes = 0;
+    double ms = 0.0; ///< median per step
+};
+
+/**
+ * Train a fresh flagship supernet for `steps` data-parallel steps of
+ * 16 shards (batch 64, uniform candidates; inputs identical at every
+ * lane count) on `lanes` lanes; returns the median step time and, in
+ * `bytes`, the final weights' checkpoint.
+ */
+TrainStepScore
+scoreTrainStep(size_t lanes, size_t steps, std::string &bytes)
+{
+    constexpr size_t kShards = 16, kBatch = 64;
+    const arch::DlrmArch base = flagshipDlrm();
+    searchspace::DlrmSearchSpace space(base);
+    common::Rng net_rng(31);
+    supernet::DlrmSupernet net(space, {}, net_rng);
+    std::vector<uint64_t> vocabs;
+    std::vector<double> avg_ids;
+    for (const auto &t : base.tables) {
+        vocabs.push_back(t.vocab);
+        avg_ids.push_back(t.avgIds);
+    }
+    pipeline::TrafficGenerator traffic(
+        pipeline::trafficConfigFor(base.numDenseFeatures, vocabs, avg_ids),
+        32);
+    common::Rng sample_rng(33);
+
+    exec::ThreadPool pool(lanes);
+    exec::ShardRunner runner(pool, {kShards});
+    std::vector<supernet::SupernetContext> ctx(runner.lanes());
+    for (auto &c : ctx)
+        net.reserve(c, kBatch);
+    supernet::StepGradients grads;
+    std::vector<supernet::SupernetPlan> plans(kShards);
+    std::vector<pipeline::Batch> batches(kShards);
+    std::vector<double> ms;
+    for (size_t step = 0; step < steps; ++step) {
+        for (size_t i = 0; i < kShards; ++i) {
+            batches[i] = traffic.nextBatch(kBatch);
+            plans[i] = net.plan(space.decisions().uniformSample(sample_rng));
+        }
+        auto start = Clock::now();
+        grads.layout(net, plans);
+        runner.forEach(kShards, [&](size_t i, size_t lane) {
+            (void)net.accumulateGradients(plans[i], batches[i], ctx[lane],
+                                          grads[i]);
+        });
+        net.applyGradients(grads.shards(), 0.05 / kShards);
+        ms.push_back(1e3 * secondsSince(start));
+    }
+    std::ostringstream os;
+    net.save(os);
+    bytes = os.str();
+    return {runner.lanes(), median(ms)};
+}
+
 } // namespace
 
 int
@@ -514,6 +582,16 @@ main(int argc, char **argv)
     for (const ConstructionScore &sc : construction)
         all_equal = all_equal && sc.bitwiseEqual;
 
+    // --- Data-parallel supernet train step, one lane vs nproc lanes.
+    const size_t train_steps = std::max<size_t>(3, iters / 10);
+    std::string one_lane_bytes, lanes_bytes;
+    std::vector<TrainStepScore> train;
+    train.push_back(scoreTrainStep(1, train_steps, one_lane_bytes));
+    train.push_back(
+        scoreTrainStep(common::parallelWidth(), train_steps, lanes_bytes));
+    const bool train_equal = one_lane_bytes == lanes_bytes;
+    all_equal = all_equal && train_equal;
+
     // --- Report.
     std::cout << "kernel GFLOP/s at (" << m << " x " << k << " x " << n
               << "), " << iters << " iters:\n";
@@ -560,6 +638,12 @@ main(int argc, char **argv)
                   << sc.sparseUs << ", dense " << sc.denseUs << " ("
                   << sc.speedup() << "x)"
                   << (sc.bitwiseEqual ? "" : " WEIGHTS DIFFER") << "\n";
+
+    std::cout << "supernet train step (flagship, 16 shards x 64), median of "
+              << train_steps << " steps (ms):";
+    for (const TrainStepScore &sc : train)
+        std::cout << " " << sc.lanes << " lane(s) " << sc.ms << ";";
+    std::cout << (train_equal ? "" : " WEIGHTS DIFFER") << "\n";
 
     std::string json_path = flags.getString("json");
     std::ofstream js(json_path);
@@ -628,12 +712,20 @@ main(int argc, char **argv)
            << (sc.bitwiseEqual ? "true" : "false") << "}"
            << (i + 1 < sparse.size() ? "," : "") << "\n";
     }
-    js << "  ]\n"
+    js << "  ],\n"
+       << "  \"supernet_train_step_ms\": {\"shards\": 16, \"batch\": 64, "
+       << "\"steps\": " << train_steps << ", \"lanes\": [";
+    for (size_t i = 0; i < train.size(); ++i)
+        js << (i ? ", " : "") << "{\"lanes\": " << train[i].lanes
+           << ", \"ms\": " << train[i].ms << "}";
+    js << "], \"bitwise_equal\": " << (train_equal ? "true" : "false")
+       << "}\n"
        << "}\n";
     std::cout << "wrote " << json_path << "\n";
     // The batched eval path's zero-alloc contract is load-bearing for
-    // the quality stage's throughput, a split kernel or supernet build
-    // must match its inline run bit for bit, and sparse embedding SGD
-    // must match the dense update — fail the smoke when any breaks.
+    // the quality stage's throughput, a split kernel, supernet build or
+    // train step must match its inline / one-lane run bit for bit, and
+    // sparse embedding SGD must match the dense update — fail the smoke
+    // when any breaks.
     return eval_steady_allocs == 0 && all_equal && sparse_equal ? 0 : 1;
 }

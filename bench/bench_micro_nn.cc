@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "nn/dense.h"
 #include "nn/embedding.h"
-#include "nn/masked_dense.h"
 #include "nn/ops.h"
 
 namespace nn = h2o::nn;
@@ -64,24 +63,6 @@ BM_DenseForwardBackward(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DenseForwardBackward)->Arg(64)->Arg(256);
-
-static void
-BM_MaskedDenseConfigureSwitch(benchmark::State &state)
-{
-    // Cost of switching sub-networks between steps (mask updates only).
-    Rng rng(4);
-    nn::MaskedDenseLayer layer(256, 256, nn::Activation::ReLU, rng);
-    nn::Tensor in(32, 256);
-    in.gaussianInit(rng, 1.0f);
-    size_t flip = 0;
-    for (auto _ : state) {
-        layer.setActive(flip % 2 ? 128 : 256, flip % 2 ? 64 : 256);
-        ++flip;
-        const nn::Tensor &out = layer.forward(in);
-        benchmark::DoNotOptimize(out.data().data());
-    }
-}
-BENCHMARK(BM_MaskedDenseConfigureSwitch);
 
 static void
 BM_EmbeddingLookup(benchmark::State &state)

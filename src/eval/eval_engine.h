@@ -16,10 +16,14 @@
  *      Quality then comes from one of two sources:
  *      - the constructor's PURE QualityFn, per candidate inside the
  *        shard body (or inside a worker process in proc mode);
- *      - a QualityBatchFn passed to evaluate(), ONE coordinator-side
- *        call over the survivors in ascending shard order. Quality that
- *        touches shared state (the weight-sharing supernet, the batch
- *        pipeline) goes here.
+ *      - a QualityBatchFn passed to evaluate(), ONE call on the
+ *        coordinator over the survivors in ascending shard order.
+ *        Quality that touches shared state (the weight-sharing
+ *        supernet, the batch pipeline) goes here. The call may fan out
+ *        over runner().forEach() — the H2O supernet step leases the
+ *        survivors' batches in shard order on the coordinator while the
+ *        lanes run each candidate's forward/backward, reading the
+ *        shared weights and writing only that shard's gradient.
  *   2. performance stage — in one of two modes, chosen by which functor
  *      type the engine is built with:
  *      - PerfBatchFn: ONE batched call over the step's surviving

@@ -37,8 +37,8 @@ struct RunOptions
      * endpoint list ("host:port" for an external daemon running the
      * same binary, "local" to fork a loopback daemon) — see
      * parseWorkerList. Empty = none. Combines with `procs` into one
-     * MIXED pool, forked slots first, remote slots after; shard s is
-     * pinned to slot s % (procs + workers).
+     * MIXED pool, forked slots first, remote slots after; each slot's
+     * lane claims the step's shards from a shared cursor.
      */
     std::string workers;
     /** Optional fault oracle (preemptible-fleet emulation); not owned. */

@@ -1,7 +1,9 @@
 #include "exec/shard_runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <thread>
 
 #include "common/logging.h"
@@ -75,8 +77,8 @@ ShardRunner::runAttempts(size_t step, size_t shard, size_t lane,
                 Ms(_injector->config().stragglerDelayMs));
         try {
             // A worker death spends the attempt but keeps the encoded
-            // request; the shard (and everything queued behind it on
-            // this lane) waits for the respawn round.
+            // request; the shard waits for the respawn round and its
+            // lane stops claiming.
             if (!work(shard, lane, st))
                 return false;
         } catch (const std::exception &e) {
@@ -97,6 +99,64 @@ ShardRunner::runAttempts(size_t step, size_t shard, size_t lane,
     return true;
 }
 
+void
+ShardRunner::onLanes(size_t lanes, const std::function<void(size_t)> &lane,
+                     const std::function<void()> &lead)
+{
+    if (lanes == 1) {
+        // One lane: nothing to overlap, so skip the hand-off.
+        if (lead)
+            lead();
+        lane(0);
+        return;
+    }
+    std::vector<std::future<void>> futures;
+    futures.reserve(lanes);
+    for (size_t l = 0; l < lanes; ++l)
+        futures.push_back(_pool.submit([&lane, l] { lane(l); }));
+    // The barrier: every lane finishes (the lanes read the caller's
+    // stack) before the first failure, if any, propagates.
+    std::exception_ptr failure;
+    if (lead) {
+        try {
+            lead();
+        } catch (...) {
+            failure = std::current_exception();
+        }
+    }
+    for (auto &f : futures) {
+        try {
+            f.get();
+        } catch (...) {
+            if (!failure)
+                failure = std::current_exception();
+        }
+    }
+    if (failure)
+        std::rethrow_exception(failure);
+}
+
+void
+ShardRunner::forEach(size_t items,
+                     const std::function<void(size_t item, size_t lane)> &body,
+                     const std::function<void()> &lead)
+{
+    h2o_assert(body, "null lane body");
+    if (items == 0) {
+        if (lead)
+            lead();
+        return;
+    }
+    std::atomic<size_t> next{0};
+    onLanes(
+        std::min(_pool.size(), items),
+        [&](size_t lane) {
+            for (size_t i; (i = next.fetch_add(1)) < items;)
+                body(i, lane);
+        },
+        lead);
+}
+
 StepReport
 ShardRunner::runLanes(size_t step, size_t lanes, const AttemptFn &work,
                       std::vector<ShardAttempt> &shards)
@@ -104,36 +164,27 @@ ShardRunner::runLanes(size_t step, size_t lanes, const AttemptFn &work,
     const size_t n = _config.numShards;
     lanes = std::min(lanes, n);
 
-    // Rounds: every lane runs its unsettled shards; a worker death ends
-    // that lane's round early, and the dead slots are respawned from
-    // current coordinator state before the next round. Each death
-    // consumes an attempt of the lane's first pending shard, so the
-    // loop terminates.
+    // Rounds: lane l starts on shard l — so every slot serves, and a
+    // dead one is found, in every round — then claims the next shard
+    // from the round's cursor until none is left. A worker death ends
+    // that lane's round (its shard stays pending), and the dead slots
+    // are respawned from current coordinator state before the next
+    // round. Each death consumes an attempt of its shard, so the loop
+    // terminates. Which lane runs a shard never changes its result:
+    // faults are keyed by (step, shard, attempt) and bodies touch
+    // shard-local state only.
     for (bool pending = true; pending;) {
         std::vector<char> died(lanes, 0);
-        auto runLane = [&](size_t lane) {
-            for (size_t s = lane; s < n; s += lanes) {
+        std::atomic<size_t> next{lanes};
+        onLanes(lanes, [&](size_t lane) {
+            for (size_t s = lane; s < n; s = next.fetch_add(1)) {
                 if (!shards[s].settled &&
                     !runAttempts(step, s, lane, work, shards[s])) {
                     died[lane] = 1;
                     break;
                 }
             }
-        };
-        if (lanes == 1) {
-            // One lane: nothing to overlap, so skip the hand-off.
-            runLane(0);
-        } else {
-            std::vector<std::future<void>> futures;
-            futures.reserve(lanes);
-            for (size_t lane = 0; lane < lanes; ++lane)
-                futures.push_back(
-                    _pool.submit([&runLane, lane] { runLane(lane); }));
-            // The cross-shard barrier: aggregation must not start
-            // before every shard has completed or been declared lost.
-            for (auto &f : futures)
-                f.get();
-        }
+        });
 
         const size_t deaths = std::count(died.begin(), died.end(), 1);
         _transportFailures += deaths;

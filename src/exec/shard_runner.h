@@ -4,10 +4,12 @@
  *
  * runStep() runs every shard of one step, barrier-waits for all of them
  * (the cross-shard all-reduce point of Figure 2), and reports which
- * shards survived. Shards run on lanes: shard s is pinned to lane s % L
- * and each lane visits its shards in ascending order. A one-lane step
- * runs inline on the calling thread; otherwise each lane is one task on
- * the caller-owned ThreadPool.
+ * shards survived. Shards run on lanes: lane l starts on shard l, then
+ * claims the next shard from the step's cursor, so a lane that finishes
+ * early takes more. A one-lane step runs inline on the calling thread;
+ * otherwise each lane is one task on the caller-owned ThreadPool.
+ * forEach() runs plain items (no faults, no retries) through the same
+ * lane loop.
  *
  * A step's work takes one of two forms, driven by the same attempt loop:
  *  - a closure `body(shard)`, run on the lanes (L = pool width). Shard
@@ -19,9 +21,8 @@
  *    work in a worker process or daemon, and `decode(shard, response)`
  *    applies the result on the caller after the barrier.
  *
- * Everything that touches shared state — the weight-sharing
- * super-network, the batch pipeline, the cross-shard REINFORCE /
- * gradient aggregation, decode — runs on the caller's thread after the
+ * Everything that aggregates across shards — the cross-shard REINFORCE
+ * / gradient reduce, decode — runs on the caller's thread after the
  * barrier, over report.survivors() in ascending shard order. That is
  * what keeps results bit-for-bit identical to a serial run at any lane
  * count and fleet shape.
@@ -39,9 +40,9 @@
  *    runs another round, dead slots are respawned from current
  *    coordinator state between rounds, and the shard is retried with
  *    the SAME request bytes (its RNG stream never advances twice), so a
- *    successful retry is byte-identical to an unkilled run. Shards
- *    queued behind the corpse on its lane consume nothing and run in
- *    the next round.
+ *    successful retry is byte-identical to an unkilled run. The dead
+ *    slot's lane stops claiming; the other lanes take the shards left
+ *    in the round.
  * A shard whose attempts are exhausted is reported Degraded; the caller
  * aggregates over the survivors with scaled baselines.
  */
@@ -150,6 +151,27 @@ class ShardRunner
      *  and barrier-wait; requires a transport. */
     StepReport runStep(size_t step, const ProcShardTask &task);
 
+    /**
+     * Run `body(item, lane)` for every item in [0, items) on the lanes
+     * (the pool's width, at most `items`), each lane claiming the next
+     * item in ascending order, and barrier-wait. No fault decisions are
+     * consumed and nothing is retried: this is for work on already
+     * settled shards (a supernet step's per-survivor forward/backward).
+     * Concurrent calls of `body` share the lane index only within one
+     * lane, so per-lane state indexed by `lane` needs no locking.
+     *
+     * @param lead Optional work for the calling thread while the lanes
+     *             run (before the lane, when there is only one): e.g.
+     *             producing the items' inputs in order for bodies that
+     *             wait on them. It must not wait on any body.
+     */
+    void forEach(size_t items,
+                 const std::function<void(size_t item, size_t lane)> &body,
+                 const std::function<void()> &lead = nullptr);
+
+    /** Lanes a closure step or forEach() may use (the pool's width). */
+    size_t lanes() const { return _pool.size(); }
+
     /** Cumulative count of degraded (lost) shard-steps. */
     uint64_t degradedShardSteps() const { return _degradedShardSteps; }
 
@@ -181,6 +203,12 @@ class ShardRunner
      *  died mid-call (shard left pending). */
     bool runAttempts(size_t step, size_t shard, size_t lane,
                      const AttemptFn &work, ShardAttempt &st);
+
+    /** Run `lane(l)` for l in [0, lanes): inline when one lane,
+     *  otherwise as pool tasks while `lead` (when set) runs on the
+     *  caller; barrier-waits for all of them. */
+    void onLanes(size_t lanes, const std::function<void(size_t)> &lane,
+                 const std::function<void()> &lead = nullptr);
 
     /** The lane loop: rounds of lanes until every shard settled (dead
      *  transport slots respawn between rounds), then the report. */

@@ -26,6 +26,15 @@ DenseLayer::DenseLayer(size_t in, size_t out, Activation act,
     _w.heInit(rng, in);
 }
 
+DenseLayer::DenseLayer(Tensor w, Tensor b, Activation act)
+    : _in(w.rows()), _out(w.cols()), _act(act), _w(std::move(w)),
+      _b(std::move(b)), _wGrad(_in, _out), _bGrad(std::vector<size_t>{_out})
+{
+    h2o_assert(_in > 0 && _out > 0, "DenseLayer with zero dimension");
+    h2o_assert(_b.size() == _out, "DenseLayer bias has ", _b.size(),
+               " entries for ", _out, " outputs");
+}
+
 const Tensor &
 DenseLayer::forward(const Tensor &input)
 {

@@ -29,6 +29,10 @@ class DenseLayer : public Layer
      */
     DenseLayer(size_t in, size_t out, Activation act, common::Rng &rng);
 
+    /** A layer over given weights: w [in, out], bias b [out] (a model
+     *  copied out of trained storage). */
+    DenseLayer(Tensor w, Tensor b, Activation act);
+
     const Tensor &forward(const Tensor &input) override;
     const Tensor &backward(const Tensor &grad_out) override;
 

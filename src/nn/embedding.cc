@@ -42,28 +42,29 @@ EmbeddingTable::setActiveWidth(size_t width)
 }
 
 void
-EmbeddingTable::stage(std::span<const IdList *const> batch_ids)
+EmbeddingTable::stage(std::span<const IdList *const> batch_ids,
+                      EmbeddingIds &ids) const
 {
     size_t batch = batch_ids.size();
     h2o_assert(batch > 0, "embedding lookup with empty batch");
     size_t total = 0;
-    for (const IdList *ids : batch_ids)
-        total += ids->size();
-    _rows.clear();
-    _rows.reserve(total);
-    _offsets.clear();
-    _offsets.reserve(batch + 1);
-    _inv.clear();
-    _inv.reserve(batch);
-    _offsets.push_back(0);
+    for (const IdList *list : batch_ids)
+        total += list->size();
+    ids.rows.clear();
+    ids.rows.reserve(total);
+    ids.offsets.clear();
+    ids.offsets.reserve(batch + 1);
+    ids.inv.clear();
+    ids.inv.reserve(batch);
+    ids.offsets.push_back(0);
     uint32_t vocab = static_cast<uint32_t>(_vocab);
-    for (const IdList *ids : batch_ids) {
-        for (uint32_t id : *ids)
-            _rows.push_back(id % vocab);
-        _offsets.push_back(_rows.size());
-        _inv.push_back(ids->empty()
-                           ? 0.0f
-                           : 1.0f / static_cast<float>(ids->size()));
+    for (const IdList *list : batch_ids) {
+        for (uint32_t id : *list)
+            ids.rows.push_back(id % vocab);
+        ids.offsets.push_back(ids.rows.size());
+        ids.inv.push_back(list->empty()
+                              ? 0.0f
+                              : 1.0f / static_cast<float>(list->size()));
     }
 }
 
@@ -80,42 +81,46 @@ EmbeddingTable::forward(const std::vector<IdList> &batch_ids)
 const Tensor &
 EmbeddingTable::forward(std::span<const IdList *const> batch_ids)
 {
-    stage(batch_ids);
-    _out.resizeUninitialized(batch_ids.size(), _activeWidth);
-    embeddingGatherPooled(_table, _rows, _offsets, _inv, _out, _activeWidth);
+    stage(batch_ids, _ids);
+    lookup(_ids, _activeWidth, _out);
     return _out;
 }
 
 void
-EmbeddingTable::lookup(std::span<const IdList *const> batch_ids, size_t width,
-                       Tensor &out)
+EmbeddingTable::lookup(const EmbeddingIds &ids, size_t width,
+                       Tensor &out) const
 {
     h2o_assert(width > 0 && width <= _maxWidth, "lookup width ", width,
                " out of range (max ", _maxWidth, ")");
-    stage(batch_ids);
-    out.resizeUninitialized(batch_ids.size(), width);
-    embeddingGatherPooled(_table, _rows, _offsets, _inv, out, width);
+    out.resizeUninitialized(ids.inv.size(), width);
+    embeddingGatherPooled(_table, ids.rows, ids.offsets, ids.inv, out, width);
 }
 
 void
 EmbeddingTable::backward(const Tensor &grad_out)
 {
-    h2o_assert(grad_out.rows() + 1 == _offsets.size(),
+    h2o_assert(grad_out.rows() + 1 == _ids.offsets.size(),
                "embedding backward batch mismatch");
     h2o_assert(grad_out.cols() == _activeWidth,
                "embedding backward width mismatch");
-    // Sized on the first backward: inference-only tables never pay.
+    _slotRows.resize(_ids.rows.size());
+    for (size_t p = 0; p < _ids.rows.size(); ++p)
+        _slotRows[p] = touch(_ids.rows[p]);
+    embeddingScatterAdd(grad_out, _slotRows, _ids.offsets, _ids.inv,
+                        _slotGrad, _activeWidth);
+}
+
+uint32_t
+EmbeddingTable::touch(uint32_t row)
+{
+    // Sized on the first gradient: inference-only tables never pay.
     if (_slotOf.empty())
         _slotOf.assign(_vocab, kNoSlot);
-    _slotRows.resize(_rows.size());
-    for (size_t p = 0; p < _rows.size(); ++p) {
-        uint32_t &slot = _slotOf[_rows[p]];
-        if (slot == kNoSlot) {
-            slot = static_cast<uint32_t>(_touched.size());
-            _touched.push_back(_rows[p]);
-        }
-        _slotRows[p] = slot;
-    }
+    uint32_t &slot = _slotOf[row];
+    if (slot != kNoSlot)
+        return slot;
+    slot = static_cast<uint32_t>(_touched.size());
+    _touched.push_back(row);
     if (_touched.size() > _slotGrad.rows()) {
         // Grow geometrically (capped at vocab), keeping the live slots;
         // the new slots start zeroed.
@@ -126,8 +131,24 @@ EmbeddingTable::backward(const Tensor &grad_out)
                   grown.data().begin());
         _slotGrad = std::move(grown);
     }
-    embeddingScatterAdd(grad_out, _slotRows, _offsets, _inv, _slotGrad,
-                        _activeWidth);
+    return slot;
+}
+
+void
+EmbeddingTable::addRowGradients(std::span<const uint32_t> rows,
+                                const float *g, size_t width)
+{
+    h2o_assert(width <= _maxWidth, "row gradient width ", width,
+               " exceeds table width ", _maxWidth);
+    for (size_t i = 0; i < rows.size(); ++i) {
+        h2o_assert(rows[i] < _vocab, "row gradient for row ", rows[i],
+                   " of a ", _vocab, "-row table");
+        const size_t slot = touch(rows[i]); // may grow _slotGrad
+        float *dst = _slotGrad.data().data() + slot * _maxWidth;
+        const float *src = g + i * width;
+        for (size_t d = 0; d < width; ++d)
+            dst[d] += src[d];
+    }
 }
 
 void

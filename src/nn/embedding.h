@@ -44,6 +44,20 @@ namespace h2o::nn {
 /** One sparse feature's id list for one example. */
 using IdList = std::vector<uint32_t>;
 
+/**
+ * One batch's ids for one table, hashed into table rows and staged
+ * CSR-style: the ids of example i are rows[offsets[i], offsets[i+1]),
+ * pooled with weight inv[i] (1/|ids|, 0 if empty). Caller-owned and
+ * reused across calls, so several threads can look up one table at
+ * once, each with its own staging.
+ */
+struct EmbeddingIds
+{
+    std::vector<uint32_t> rows;
+    std::vector<size_t> offsets;
+    std::vector<float> inv;
+};
+
 /** Embedding table with maskable width and mean-pooled multivalent lookup. */
 class EmbeddingTable
 {
@@ -87,18 +101,21 @@ class EmbeddingTable
      */
     const Tensor &forward(std::span<const IdList *const> batch_ids);
 
+    /** Hash a batch's id lists into `ids` (reusing its storage). Reads
+     *  no table state: safe from any number of threads. */
+    void stage(std::span<const IdList *const> batch_ids,
+               EmbeddingIds &ids) const;
+
     /**
-     * No-grad lookup at an explicit width into a caller-owned tensor,
-     * for the batched eval path: `out` is resized to [batch, width] and
-     * filled with the pooled rows (columns [0, width) of the shared
-     * storage, independent of activeWidth). Overwrites the staging
-     * buffers backward() reads, so a training forward/backward pair must
-     * not straddle a lookup() call.
+     * No-grad pooled lookup of staged ids at an explicit width into a
+     * caller-owned tensor: `out` is resized to [batch, width] and filled
+     * from columns [0, width) of the shared storage, independent of
+     * activeWidth. Reads the weights only: safe from any number of
+     * threads while no step updates them.
      *
      * @pre 0 < width <= maxWidth.
      */
-    void lookup(std::span<const IdList *const> batch_ids, size_t width,
-                Tensor &out);
+    void lookup(const EmbeddingIds &ids, size_t width, Tensor &out) const;
 
     /**
      * Scatter gradients back into the rows touched by the last forward,
@@ -107,6 +124,14 @@ class EmbeddingTable
      * @param grad_out [batch, activeWidth] upstream gradient.
      */
     void backward(const Tensor &grad_out);
+
+    /**
+     * Add externally computed row gradients into the slots:
+     * grad(rows[i], d) += g[i * width + d] for d < width, rows in order
+     * (a supernet step's per-shard slot blocks, reduced in shard order).
+     */
+    void addRowGradients(std::span<const uint32_t> rows, const float *g,
+                         size_t width);
 
     /**
      * Plain SGD (no momentum, no decay) on the touched rows:
@@ -135,8 +160,9 @@ class EmbeddingTable
     std::string describe() const;
 
   private:
-    /** Hash ids into the flat CSR staging buffers (_rows/_offsets/_inv). */
-    void stage(std::span<const IdList *const> batch_ids);
+    /** The gradient slot of `row`, assigned (first-touch order, storage
+     *  grown as needed) when the row has none yet. */
+    uint32_t touch(uint32_t row);
 
     size_t _vocab;
     size_t _maxWidth;
@@ -148,11 +174,9 @@ class EmbeddingTable
     Tensor _slotGrad;
     std::vector<uint32_t> _slotOf;   ///< per row: its slot, or kNoSlot
     std::vector<uint32_t> _touched;  ///< touched rows, first-touch order
-    std::vector<uint32_t> _slotRows; ///< _rows remapped to slots
+    std::vector<uint32_t> _slotRows; ///< _ids.rows remapped to slots
     Tensor _out; ///< pooled lookup output (reused across calls)
-    std::vector<uint32_t> _rows;   ///< hashed table rows, all examples
-    std::vector<size_t> _offsets;  ///< per-example [start, end) into _rows
-    std::vector<float> _inv;       ///< per-example 1/|ids| (0 if empty)
+    EmbeddingIds _ids; ///< the last forward's staged ids (for backward)
     std::vector<const IdList *> _ptrScratch; ///< vector-overload adapter
 };
 

@@ -23,6 +23,20 @@ LowRankDenseLayer::LowRankDenseLayer(size_t max_in, size_t max_rank,
     _v.heInit(rng, _maxRank);
 }
 
+LowRankDenseLayer::LowRankDenseLayer(Tensor u, Tensor v, Tensor b,
+                                     Activation act)
+    : _maxIn(u.rows()), _maxRank(u.cols()), _maxOut(v.cols()),
+      _activeIn(_maxIn), _activeRank(_maxRank), _activeOut(_maxOut),
+      _act(act), _u(std::move(u)), _v(std::move(v)), _b(std::move(b)),
+      _uGrad(_maxIn, _maxRank), _vGrad(_maxRank, _maxOut),
+      _bGrad(std::vector<size_t>{_maxOut})
+{
+    h2o_assert(_maxIn > 0 && _maxRank > 0 && _maxOut > 0,
+               "LowRankDense with zero max dims");
+    h2o_assert(_v.rows() == _maxRank && _b.size() == _maxOut,
+               "LowRankDense factor shapes do not chain");
+}
+
 void
 LowRankDenseLayer::setActive(size_t in, size_t rank, size_t out)
 {
@@ -45,7 +59,7 @@ LowRankDenseLayer::forward(const Tensor &input)
     matmulMasked(_hidden, _v, _preact, _activeRank, _activeOut);
     addBias(_preact, _b, _activeOut);
     if (!_training) {
-        // Eval mode: activate in place (see MaskedDenseLayer::forward).
+        // Eval mode: no backward follows, so activate in place.
         activateTensor(_act, _preact, _preact);
         return _preact;
     }

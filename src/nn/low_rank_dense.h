@@ -29,6 +29,11 @@ class LowRankDenseLayer : public Layer
     LowRankDenseLayer(size_t max_in, size_t max_rank, size_t max_out,
                       Activation act, common::Rng &rng);
 
+    /** A layer over given factors, all of them active: u [in, rank],
+     *  v [rank, out], bias b [out] (a model copied out of trained
+     *  storage). */
+    LowRankDenseLayer(Tensor u, Tensor v, Tensor b, Activation act);
+
     /**
      * Select the active sub-network.
      * @pre dims positive and within the max bounds.

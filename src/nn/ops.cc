@@ -24,15 +24,17 @@ checkMatmulMasked(const Tensor &a, const Tensor &b, const Tensor &c,
     h2o_assert(c.rows() == a.rows(), "matmulMasked: C rows mismatch");
 }
 
+/** `c_rows` x `c_cols` is the output's extent (a Tensor's shape, or a
+ *  raw block's k_act x row stride). */
 void
-checkMatmulTransAMasked(const Tensor &a, const Tensor &b, const Tensor &c,
-                        size_t k_act, size_t n_act)
+checkMatmulTransAMasked(const Tensor &a, const Tensor &b, size_t c_rows,
+                        size_t c_cols, size_t k_act, size_t n_act)
 {
     h2o_assert(b.rows() == a.rows(),
                "matmulTransAMasked: batch dim mismatch");
-    h2o_assert(k_act <= a.cols() && k_act <= c.rows(),
+    h2o_assert(k_act <= a.cols() && k_act <= c_rows,
                "matmulTransAMasked: k_act out of range");
-    h2o_assert(n_act <= b.cols() && n_act <= c.cols(),
+    h2o_assert(n_act <= b.cols() && n_act <= c_cols,
                "matmulTransAMasked: n_act out of range");
 }
 
@@ -64,7 +66,7 @@ checkGrouped(const Tensor &a, const Tensor &b, const Tensor &c,
 }
 
 void
-checkEmbedding(const Tensor &table_like, std::span<const uint32_t> rows,
+checkEmbedding(size_t table_cols, std::span<const uint32_t> rows,
                std::span<const size_t> offsets, std::span<const float> inv,
                size_t batch, size_t batch_width, size_t width)
 {
@@ -74,9 +76,9 @@ checkEmbedding(const Tensor &table_like, std::span<const uint32_t> rows,
     h2o_assert(inv.size() == batch, "embedding kernel: inv size mismatch");
     h2o_assert(offsets.empty() || offsets.back() <= rows.size(),
                "embedding kernel: offsets exceed rows");
-    h2o_assert(width <= table_like.cols(),
+    h2o_assert(width <= table_cols,
                "embedding kernel: width ", width, " exceeds table cols ",
-               table_like.cols());
+               table_cols);
     h2o_assert(width <= batch_width,
                "embedding kernel: width exceeds batch tensor cols");
 }
@@ -187,7 +189,8 @@ embeddingGatherPooled(const Tensor &table, std::span<const uint32_t> rows,
                       std::span<const size_t> offsets,
                       std::span<const float> inv, Tensor &out, size_t width)
 {
-    checkEmbedding(table, rows, offsets, inv, out.rows(), out.cols(), width);
+    checkEmbedding(table.cols(), rows, offsets, inv, out.rows(), out.cols(),
+                   width);
     const float *td = table.data().data();
     float *od = out.data().data();
     size_t tw = table.cols(), ow = out.cols();
@@ -210,12 +213,22 @@ embeddingScatterAdd(const Tensor &grad_out, std::span<const uint32_t> rows,
                     std::span<const float> inv, Tensor &grad_table,
                     size_t width)
 {
-    checkEmbedding(grad_table, rows, offsets, inv, grad_out.rows(),
+    checkEmbedding(grad_table.cols(), rows, offsets, inv, grad_out.rows(),
                    grad_out.cols(), width);
-    const float *gd = grad_out.data().data();
-    float *td = grad_table.data().data();
-    size_t tw = grad_table.cols(), gw = grad_out.cols();
-    for (size_t i = 0; i < grad_out.rows(); ++i) {
+    reference::embeddingScatterAdd(
+        grad_out.data().data(), grad_out.cols(), rows, offsets, inv,
+        grad_table.data().data(), grad_table.cols(), width);
+}
+
+void
+embeddingScatterAdd(const float *gd, size_t gw,
+                    std::span<const uint32_t> rows,
+                    std::span<const size_t> offsets,
+                    std::span<const float> inv, float *td, size_t tw,
+                    size_t width)
+{
+    checkEmbedding(tw, rows, offsets, inv, inv.size(), gw, width);
+    for (size_t i = 0; i < inv.size(); ++i) {
         const float *src = gd + i * gw;
         float w = inv[i];
         for (size_t p = offsets[i]; p < offsets[i + 1]; ++p) {
@@ -230,12 +243,20 @@ void
 matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
                    size_t n_act)
 {
-    checkMatmulTransAMasked(a, b, c, k_act, n_act);
+    checkMatmulTransAMasked(a, b, c.rows(), c.cols(), k_act, n_act);
+    reference::matmulTransAMasked(a, b, c.data().data(), c.cols(), k_act,
+                                  n_act);
+}
+
+void
+matmulTransAMasked(const Tensor &a, const Tensor &b, float *cd, size_t nc,
+                   size_t k_act, size_t n_act)
+{
+    checkMatmulTransAMasked(a, b, k_act, nc, k_act, n_act);
     size_t m = a.rows();
     const float *ad = a.data().data();
     const float *bd = b.data().data();
-    float *cd = c.data().data();
-    size_t ka = a.cols(), nb = b.cols(), nc = c.cols();
+    size_t ka = a.cols(), nb = b.cols();
 
     for (size_t i = 0; i < m; ++i) {
         const float *arow = ad + i * ka;
@@ -385,7 +406,8 @@ embeddingGatherPooled(const Tensor &table, std::span<const uint32_t> rows,
                       std::span<const size_t> offsets,
                       std::span<const float> inv, Tensor &out, size_t width)
 {
-    checkEmbedding(table, rows, offsets, inv, out.rows(), out.cols(), width);
+    checkEmbedding(table.cols(), rows, offsets, inv, out.rows(), out.cols(),
+                   width);
     const float *td = table.data().data();
     float *od = out.data().data();
     size_t tw = table.cols(), ow = out.cols();
@@ -420,17 +442,27 @@ embeddingScatterAdd(const Tensor &grad_out, std::span<const uint32_t> rows,
                     std::span<const float> inv, Tensor &grad_table,
                     size_t width)
 {
-    checkEmbedding(grad_table, rows, offsets, inv, grad_out.rows(),
+    checkEmbedding(grad_table.cols(), rows, offsets, inv, grad_out.rows(),
                    grad_out.cols(), width);
-    const float *gd = grad_out.data().data();
-    float *td = grad_table.data().data();
-    size_t tw = grad_table.cols(), gw = grad_out.cols();
+    tiled::embeddingScatterAdd(grad_out.data().data(), grad_out.cols(), rows,
+                               offsets, inv, grad_table.data().data(),
+                               grad_table.cols(), width);
+}
+
+void
+embeddingScatterAdd(const float *gd, size_t gw,
+                    std::span<const uint32_t> rows,
+                    std::span<const size_t> offsets,
+                    std::span<const float> inv, float *td, size_t tw,
+                    size_t width)
+{
+    checkEmbedding(tw, rows, offsets, inv, inv.size(), gw, width);
     // Fused scatter: the example's scaled gradient inv * g is staged
     // once per strip (hoisting the multiply out of the id loop), then
     // added to each touched table row with simd. inv * g[d] is the same
     // IEEE product the reference computes per id, and adds run in
     // id-list order — bitwise identical results.
-    for (size_t i = 0; i < grad_out.rows(); ++i) {
+    for (size_t i = 0; i < inv.size(); ++i) {
         const float *src = gd + i * gw;
         float w = inv[i];
         size_t p0 = offsets[i], p1 = offsets[i + 1];
@@ -456,14 +488,13 @@ namespace {
 
 /** matmulTransAMasked over the output rows [k_begin, k_end) of C. */
 void
-matmulTransAMaskedRows(const Tensor &a, const Tensor &b, Tensor &c,
+matmulTransAMaskedRows(const Tensor &a, const Tensor &b, float *cd, size_t nc,
                        size_t k_begin, size_t k_end, size_t n_act)
 {
     size_t m = a.rows();
     const float *ad = a.data().data();
     const float *bd = b.data().data();
-    float *cd = c.data().data();
-    size_t ka = a.cols(), nb = b.cols(), nc = c.cols();
+    size_t ka = a.cols(), nb = b.cols();
 
     // C[k, j] += sum_i A[i, k] * B[i, j]; block (k, j) output tiles and
     // stream the batch dimension i through each tile, i ascending — the
@@ -504,10 +535,19 @@ void
 matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
                    size_t n_act)
 {
-    checkMatmulTransAMasked(a, b, c, k_act, n_act);
+    checkMatmulTransAMasked(a, b, c.rows(), c.cols(), k_act, n_act);
+    tiled::matmulTransAMasked(a, b, c.data().data(), c.cols(), k_act, n_act);
+}
+
+void
+matmulTransAMasked(const Tensor &a, const Tensor &b, float *c, size_t ldc,
+                   size_t k_act, size_t n_act)
+{
+    checkMatmulTransAMasked(a, b, k_act, ldc, k_act, n_act);
     common::parallelFor(k_act, kRowTile, a.rows() * k_act * n_act,
                         [&](size_t k0, size_t k1) {
-                            matmulTransAMaskedRows(a, b, c, k0, k1, n_act);
+                            matmulTransAMaskedRows(a, b, c, ldc, k0, k1,
+                                                   n_act);
                         });
 }
 
@@ -622,6 +662,16 @@ matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
 }
 
 void
+matmulTransAMasked(const Tensor &a, const Tensor &b, float *c, size_t ldc,
+                   size_t k_act, size_t n_act)
+{
+    if (kernelImpl() == KernelImpl::Tiled)
+        tiled::matmulTransAMasked(a, b, c, ldc, k_act, n_act);
+    else
+        reference::matmulTransAMasked(a, b, c, ldc, k_act, n_act);
+}
+
+void
 matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t n_act,
                    size_t k_act, bool accumulate)
 {
@@ -665,6 +715,21 @@ embeddingScatterAdd(const Tensor &grad_out, std::span<const uint32_t> rows,
     else
         reference::embeddingScatterAdd(grad_out, rows, offsets, inv,
                                        grad_table, width);
+}
+
+void
+embeddingScatterAdd(const float *grad_out, size_t ldo,
+                    std::span<const uint32_t> rows,
+                    std::span<const size_t> offsets,
+                    std::span<const float> inv, float *grad, size_t ldg,
+                    size_t width)
+{
+    if (kernelImpl() == KernelImpl::Tiled)
+        tiled::embeddingScatterAdd(grad_out, ldo, rows, offsets, inv, grad,
+                                   ldg, width);
+    else
+        reference::embeddingScatterAdd(grad_out, ldo, rows, offsets, inv,
+                                       grad, ldg, width);
 }
 
 void

@@ -75,6 +75,14 @@ void matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c,
                         size_t k_act, size_t n_act);
 
 /**
+ * As above into caller-owned row-major storage outside any Tensor: `c`
+ * is a k_act x n_act block with row stride ldc (>= n_act) — a compact
+ * per-shard gradient block in an arena.
+ */
+void matmulTransAMasked(const Tensor &a, const Tensor &b, float *c,
+                        size_t ldc, size_t k_act, size_t n_act);
+
+/**
  * C[m,k] = (or +=) A[m,n] * B^T[n,k] over active sub-ranges: used for
  * input gradients dX = dY * W^T. Only the first k_act columns of C are
  * written.
@@ -145,6 +153,15 @@ void embeddingScatterAdd(const Tensor &grad_out,
                          std::span<const float> inv, Tensor &grad_table,
                          size_t width);
 
+/** As above over caller-owned row-major storage outside any Tensor:
+ *  grad_out holds inv.size() rows with stride ldo, grad (indexed by
+ *  `rows`) has stride ldg; both strides >= width. */
+void embeddingScatterAdd(const float *grad_out, size_t ldo,
+                         std::span<const uint32_t> rows,
+                         std::span<const size_t> offsets,
+                         std::span<const float> inv, float *grad,
+                         size_t ldg, size_t width);
+
 /** Full (unmasked) C = A * B. Shapes must conform exactly. */
 void matmul(const Tensor &a, const Tensor &b, Tensor &c);
 
@@ -164,6 +181,8 @@ void matmulMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
                   size_t n_act, bool accumulate = false);
 void matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c,
                         size_t k_act, size_t n_act);
+void matmulTransAMasked(const Tensor &a, const Tensor &b, float *c,
+                        size_t ldc, size_t k_act, size_t n_act);
 void matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c,
                         size_t n_act, size_t k_act,
                         bool accumulate = false);
@@ -180,6 +199,11 @@ void embeddingScatterAdd(const Tensor &grad_out,
                          std::span<const size_t> offsets,
                          std::span<const float> inv, Tensor &grad_table,
                          size_t width);
+void embeddingScatterAdd(const float *grad_out, size_t ldo,
+                         std::span<const uint32_t> rows,
+                         std::span<const size_t> offsets,
+                         std::span<const float> inv, float *grad,
+                         size_t ldg, size_t width);
 
 } // namespace reference
 
@@ -190,6 +214,8 @@ void matmulMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
                   size_t n_act, bool accumulate = false);
 void matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c,
                         size_t k_act, size_t n_act);
+void matmulTransAMasked(const Tensor &a, const Tensor &b, float *c,
+                        size_t ldc, size_t k_act, size_t n_act);
 void matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c,
                         size_t n_act, size_t k_act,
                         bool accumulate = false);
@@ -206,6 +232,11 @@ void embeddingScatterAdd(const Tensor &grad_out,
                          std::span<const size_t> offsets,
                          std::span<const float> inv, Tensor &grad_table,
                          size_t width);
+void embeddingScatterAdd(const float *grad_out, size_t ldo,
+                         std::span<const uint32_t> rows,
+                         std::span<const size_t> offsets,
+                         std::span<const float> inv, float *grad,
+                         size_t ldg, size_t width);
 
 } // namespace tiled
 

@@ -1,5 +1,9 @@
 #include "search/h2o_dlrm_search.h"
 
+#include <condition_variable>
+#include <mutex>
+#include <optional>
+
 #include "common/logging.h"
 #include "common/serialize.h"
 #include "common/stats.h"
@@ -41,11 +45,17 @@ class H2oDlrmStepper final : public StepwiseSearch
           // independent of thread count.
           _rngs(exec::ThreadPool::splitRngs(rng, owner._config.numShards)),
           // The candidate -> reward pipeline: per-shard draws on the
-          // engine's worker pool, then one coordinator-side supernet
-          // pass and one batched performance + reward pass per step.
+          // engine's worker pool, then the data-parallel supernet pass
+          // on its lanes and one batched performance + reward pass per
+          // step.
           _engine(owner._perf, owner._reward,
-                  engineConfig(owner._config))
+                  engineConfig(owner._config)),
+          _contexts(_engine.runner().lanes())
     {
+        // Sized here, on the coordinator, for any candidate: lanes never
+        // allocate activation buffers.
+        for (auto &ctx : _contexts)
+            owner._supernet.reserve(ctx, owner._pipeline.batchSize());
         owner._stats.clear();
         _fronts.reset(owner._config.multiTarget);
     }
@@ -59,24 +69,22 @@ class H2oDlrmStepper final : public StepwiseSearch
         // --- Warm-up: train shared weights on uniformly-sampled
         // candidates so early rewards reflect architecture, not
         // initialization. Shard bodies only draw (concurrently); the
-        // supernet + pipeline work then runs here over the survivors in
-        // ascending shard order, so batches and gradient accumulation
-        // match the serial schedule exactly. Warm-up shares the engine's
+        // survivors then train data-parallel (train()) and one merged
+        // update applies their gradients. Warm-up shares the engine's
         // runner so the fault-injection step sequence stays contiguous.
         if (!_warmed) {
             std::vector<searchspace::Sample> samples(cfg.numShards);
+            std::vector<searchspace::Sample> live_samples;
             for (size_t w = 0; w < cfg.warmupSteps; ++w) {
                 auto report = _engine.runner().runStep(w, [&](size_t s) {
                     samples[s] =
                         _owner._space.decisions().uniformSample(_rngs[s]);
                 });
-                const auto live = report.survivors();
-                for (size_t s : live)
-                    (void)train(samples[s]);
-                if (!live.empty()) {
-                    _owner._supernet.applyGradients(
-                        cfg.weightLr / static_cast<double>(live.size()));
-                }
+                live_samples.clear();
+                for (size_t s : report.survivors())
+                    live_samples.push_back(samples[s]);
+                (void)train(live_samples);
+                applyGradients(live_samples.size());
             }
             _warmed = true;
         }
@@ -88,12 +96,10 @@ class H2oDlrmStepper final : public StepwiseSearch
 
         // Stage (1). The H2O quality signal is GRAD-CARRYING: each
         // candidate's forward+backward on a FRESH batch both measures
-        // quality (alpha use) and accumulates the shared-weight
-        // gradients (W use), in that mandatory order. Shard bodies only
+        // quality (alpha use) and computes its shard's shared-weight
+        // gradient (W use), in that mandatory order. Shard bodies only
         // draw their samples (per-shard RNG streams, fault semantics);
-        // the lease/configure/accumulate sequence then runs as ONE
-        // coordinator-side pass over the survivors in ascending shard
-        // order.
+        // the survivors then train data-parallel on the engine's lanes.
         auto ev = _engine.evaluate(
             cfg.warmupSteps + step,
             [&](size_t s, searchspace::Sample &sample) {
@@ -101,10 +107,10 @@ class H2oDlrmStepper final : public StepwiseSearch
             },
             [&](std::span<const size_t> shards,
                 std::span<const searchspace::Sample> samples) {
-                std::vector<double> qs(samples.size());
-                for (size_t i = 0; i < samples.size(); ++i) {
-                    losses[shards[i]] = train(samples[i]);
-                    qs[i] = -losses[shards[i]]; // negated log-loss
+                std::vector<double> qs = train(samples);
+                for (size_t i = 0; i < qs.size(); ++i) {
+                    losses[shards[i]] = qs[i];
+                    qs[i] = -qs[i]; // negated log-loss
                 }
                 return qs;
             });
@@ -133,8 +139,7 @@ class H2oDlrmStepper final : public StepwiseSearch
 
             // Stage (3): cross-shard (merged) weight update, scaled by
             // the number of shards that actually contributed gradients.
-            _owner._supernet.applyGradients(
-                cfg.weightLr / static_cast<double>(live.size()));
+            applyGradients(live.size());
 
             st.meanReward = cstats.meanReward;
             st.meanQuality = common::mean(live_qualities);
@@ -287,24 +292,93 @@ class H2oDlrmStepper final : public StepwiseSearch
     static constexpr uint64_t kCheckpointVersion = 1;
     static constexpr uint64_t kCheckpointVersionMulti = 2;
 
-    /** One candidate's forward+backward on a fresh pipeline batch:
-     *  accumulates the shared-weight gradients and returns the loss.
-     *  The batch informs alpha before it trains W (the lease's order
-     *  contract). */
-    double train(const searchspace::Sample &sample)
+    /**
+     * The survivors' forward+backward (`samples` in ascending shard
+     * order). The coordinator plans every candidate and lays out the
+     * step's gradient arena; then, while the engine's lanes claim the
+     * survivors, it leases their fresh batches in ascending survivor
+     * order — every shard trains on the batch a serial run would give
+     * it — and each lane runs its survivor's candidate, as soon as that
+     * batch is out, into the survivor's gradient with the lane's own
+     * context. The batch informs alpha before it trains W (the lease's
+     * order contract). Returns the training losses, same order.
+     */
+    std::vector<double> train(std::span<const searchspace::Sample> samples)
     {
-        auto lease = _owner._pipeline.lease();
-        _owner._supernet.configure(sample);
-        double loss = _owner._supernet.accumulateGradients(lease.batch());
-        lease.markAlphaUse();
-        lease.markWeightUse();
-        return loss;
+        const size_t n = samples.size();
+        const supernet::DlrmSupernet &net = _owner._supernet;
+        _plans.resize(n);
+        for (size_t i = 0; i < n; ++i)
+            _plans[i] = net.plan(samples[i]);
+        _grads.layout(net, _plans);
+
+        std::vector<double> losses(n);
+        std::vector<std::optional<pipeline::BatchLease>> leases(n);
+        std::mutex mutex;
+        std::condition_variable leased_cv;
+        size_t leased = 0;
+        bool failed = false;
+        _engine.runner().forEach(
+            n,
+            [&](size_t i, size_t lane) {
+                {
+                    std::unique_lock<std::mutex> lock(mutex);
+                    leased_cv.wait(lock,
+                                   [&] { return leased > i || failed; });
+                    if (leased <= i)
+                        return; // the lease failed; its error propagates
+                }
+                losses[i] = net.accumulateGradients(
+                    _plans[i], leases[i]->batch(), _contexts[lane],
+                    _grads[i]);
+                leases[i]->markAlphaUse();
+                leases[i]->markWeightUse();
+            },
+            [&] {
+                try {
+                    for (size_t i = 0; i < n; ++i) {
+                        pipeline::BatchLease lease =
+                            _owner._pipeline.lease();
+                        {
+                            std::lock_guard<std::mutex> lock(mutex);
+                            leases[i].emplace(std::move(lease));
+                            ++leased;
+                        }
+                        leased_cv.notify_all();
+                    }
+                } catch (...) {
+                    {
+                        std::lock_guard<std::mutex> lock(mutex);
+                        failed = true;
+                    }
+                    leased_cv.notify_all();
+                    throw;
+                }
+            });
+        return losses;
+    }
+
+    /** Stage (3): one merged update from the first `live` survivors'
+     *  gradients, summed in ascending shard order; the step size scales
+     *  with the shards that contributed. */
+    void applyGradients(size_t live)
+    {
+        if (live == 0)
+            return;
+        _owner._supernet.applyGradients(
+            _grads.shards().first(live),
+            _owner._config.weightLr / static_cast<double>(live));
     }
 
     H2oDlrmSearch &_owner;
     controller::ReinforceController _controller;
     std::vector<common::Rng> _rngs;
     eval::EvalEngine _engine;
+    /** One forward/backward context per engine lane. */
+    std::vector<supernet::SupernetContext> _contexts;
+    /** The current step's survivors: their plans and gradients. */
+    std::vector<supernet::SupernetPlan> _plans;
+    supernet::StepGradients _grads;
     SearchOutcome _outcome;
     TargetFrontTracker _fronts;
     size_t _next = 0;

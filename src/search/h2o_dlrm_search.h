@@ -26,10 +26,12 @@
  * Execution model: steps run on the h2o::exec runtime. Shards of one
  * step draw their candidates concurrently on a persistent worker pool
  * (threads stand in for TPU cores), with per-candidate perf-model queries
- * riding along; the shared super-network and the batch pipeline are then
- * entered on the coordinator, once per surviving shard in ascending
- * shard order. The cross-shard aggregation therefore stays bit-for-bit
- * identical to a serial run at any thread count. With a
+ * riding along. The survivors then train data-parallel on the same
+ * lanes: batches are leased in ascending shard order, each candidate's
+ * forward/backward reads the shared weights and writes its own shard
+ * gradient, and the coordinator sums the shard gradients in ascending
+ * shard order inside one fused SGD step. Results are therefore
+ * bit-for-bit identical at any thread count. With a
  * FaultInjector attached, the runtime also reproduces the paper's
  * preemptible-fleet reality: failed shards retry with backoff, preempted
  * shards are dropped and the step aggregates over the survivors with
@@ -66,7 +68,7 @@ using DlrmPerfBatchFn = PerfBatchFn;
 /** Configuration of the unified single-step search. The fleet and
  *  retry options (exec::RunOptions) reach the shard stage unchanged;
  *  worker processes and daemons run the pure per-candidate work, while
- *  the supernet stays coordinator-side. */
+ *  the supernet trains on the coordinator process's lanes. */
 struct H2oSearchConfig : exec::RunOptions
 {
     size_t numShards = 8;      ///< virtual accelerators per step
@@ -77,9 +79,10 @@ struct H2oSearchConfig : exec::RunOptions
     size_t warmupSteps = 30;
     controller::ReinforceConfig rl{};
 
-    /** Worker threads for the shard draws and per-candidate perf; 0 =
-     *  one per CPU in the affinity mask. Clamped to numShards. Any
-     *  value yields bit-identical results at the same seed. */
+    /** Worker threads (lanes) for the shard draws, per-candidate perf
+     *  and the survivors' forward/backward; 0 = one per CPU in the
+     *  affinity mask. Clamped to numShards. Any value yields
+     *  bit-identical results at the same seed. */
     size_t threads = 0;
 
     // --- Checkpoint/resume.

@@ -52,14 +52,8 @@ class TunasStepper final : public StepwiseSearch
         if (!_warmed) {
             for (size_t step = 0; step < cfg.warmupSteps; ++step) {
                 runner.runStep(step, [&](size_t) {
-                    auto sample = _owner._space.decisions().uniformSample(
-                        _sampleRng);
-                    auto lease = _owner._pipeline.lease();
-                    _owner._supernet.configure(sample);
-                    _owner._supernet.accumulateGradients(lease.batch());
-                    lease.markAlphaUse(); // pipeline ordering contract
-                    lease.markWeightUse();
-                    _owner._supernet.applyGradients(cfg.weightLr);
+                    trainOn(_owner._space.decisions().uniformSample(
+                        _sampleRng));
                 });
             }
             _warmed = true;
@@ -69,13 +63,7 @@ class TunasStepper final : public StepwiseSearch
         // --- W-step on a "training" batch (no candidate evaluation —
         // the runner alone keeps the fault-step sequence contiguous).
         runner.runStep(cfg.warmupSteps + 2 * iter, [&](size_t) {
-            auto sample = _controller.policy().sample(_sampleRng);
-            auto lease = _owner._pipeline.lease();
-            _owner._supernet.configure(sample);
-            _owner._supernet.accumulateGradients(lease.batch());
-            lease.markAlphaUse();
-            lease.markWeightUse();
-            _owner._supernet.applyGradients(cfg.weightLr);
+            trainOn(_controller.policy().sample(_sampleRng));
         });
         // --- pi-step on a separate "validation" batch (never trains W):
         // pure no-grad candidate evaluation. The shard body only draws
@@ -186,6 +174,18 @@ class TunasStepper final : public StepwiseSearch
   private:
     static constexpr uint64_t kVersion = 1;
     static constexpr uint64_t kVersionMulti = 2;
+
+    /** One W-step: the candidate's SGD step on a fresh batch (the
+     *  data-parallel step with one shard). */
+    void trainOn(const searchspace::Sample &sample)
+    {
+        auto lease = _owner._pipeline.lease();
+        _owner._supernet.configure(sample);
+        (void)_owner._supernet.trainStep(lease.batch(),
+                                         _owner._config.weightLr);
+        lease.markAlphaUse(); // pipeline ordering contract
+        lease.markWeightUse();
+    }
 
     TunasSearch &_owner;
     controller::ReinforceController _controller;

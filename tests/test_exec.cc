@@ -242,10 +242,10 @@ TEST(ShardRunner, FaultPatternIndependentOfThreadCount)
     EXPECT_EQ(degraded_pattern(1), degraded_pattern(4));
 }
 
-// Uneven lanes: 7 shards on 3 lanes (shard s on lane s % 3, lanes of 3,
-// 2 and 2 shards) under injected fail, preempt and straggle faults give
-// the same report and leave every shard's RNG stream at the same
-// position as one inline lane.
+// Uneven lanes: 7 shards on 3 lanes (each lane claims the next shard,
+// so lanes run uneven shard counts) under injected fail, preempt and
+// straggle faults give the same report and leave every shard's RNG
+// stream at the same position as one inline lane.
 TEST(ShardRunner, UnevenLanesMatchOneLane)
 {
     auto run = [](size_t lanes) {

@@ -19,7 +19,6 @@
 #include "nn/embedding.h"
 #include "nn/loss.h"
 #include "nn/low_rank_dense.h"
-#include "nn/masked_dense.h"
 #include "nn/mlp.h"
 #include "nn/normalizer.h"
 #include "nn/ops.h"
@@ -128,77 +127,6 @@ TEST(DenseLayer, InputGradientMatchesFiniteDifference)
         double numeric = (lp - lm) / (2.0 * eps);
         EXPECT_NEAR(din[i], numeric, 2e-2 * std::max(1.0, std::abs(numeric)));
     }
-}
-
-// --------------------------------------------------------- MaskedDense
-
-TEST(MaskedDense, ActiveRegionOnly)
-{
-    Rng rng(6);
-    nn::MaskedDenseLayer layer(8, 6, nn::Activation::Identity, rng);
-    layer.setActive(4, 3);
-    nn::Tensor in = randomInput(2, 8, 7);
-    const nn::Tensor &out = layer.forward(in);
-    EXPECT_EQ(out.cols(), 3u);
-    EXPECT_EQ(layer.activeParamCount(), 4u * 3u + 3u);
-}
-
-TEST(MaskedDense, GradientsMatchFiniteDifferenceUnderMask)
-{
-    Rng rng(8);
-    nn::MaskedDenseLayer layer(6, 5, nn::Activation::ReLU, rng);
-    layer.setActive(4, 3);
-    checkParamGradients(layer, randomInput(4, 6, 9));
-}
-
-TEST(MaskedDense, InactiveWeightsGetNoGradient)
-{
-    Rng rng(10);
-    nn::MaskedDenseLayer layer(6, 6, nn::Activation::Identity, rng);
-    layer.setActive(3, 2);
-    layer.zeroGrad();
-    nn::Tensor in = randomInput(5, 6, 11);
-    const nn::Tensor &out = layer.forward(in);
-    nn::Tensor dout = out;
-    layer.backward(dout);
-    auto params = layer.params();
-    auto &wgrad = *params[0].grad; // 6x6 weight grad
-    // Rows >= 3 (inactive inputs) and cols >= 2 (inactive outputs)
-    // must be exactly zero.
-    for (size_t r = 0; r < 6; ++r) {
-        for (size_t c = 0; c < 6; ++c) {
-            if (r >= 3 || c >= 2) {
-                EXPECT_FLOAT_EQ(wgrad.at(r, c), 0.0f)
-                    << "leak at " << r << "," << c;
-            }
-        }
-    }
-}
-
-TEST(MaskedDense, GrowingMaskReusesWeights)
-{
-    // The upper-left sub-matrix must produce the same contribution at
-    // any mask size — the weight-reuse property of fine-grained sharing.
-    Rng rng(12);
-    nn::MaskedDenseLayer layer(4, 4, nn::Activation::Identity, rng);
-    nn::Tensor in = randomInput(1, 4, 13);
-    in[2] = 0.0f;
-    in[3] = 0.0f; // zero the features beyond the small mask
-
-    layer.setActive(2, 2);
-    nn::Tensor small = layer.forward(in);
-    layer.setActive(4, 2);
-    nn::Tensor large = layer.forward(in);
-    EXPECT_NEAR(small.at(0, 0), large.at(0, 0), 1e-5);
-    EXPECT_NEAR(small.at(0, 1), large.at(0, 1), 1e-5);
-}
-
-TEST(MaskedDense, BadActivePanics)
-{
-    Rng rng(14);
-    nn::MaskedDenseLayer layer(4, 4, nn::Activation::Identity, rng);
-    EXPECT_DEATH(layer.setActive(5, 2), "out of range");
-    EXPECT_DEATH(layer.setActive(2, 0), "out of range");
 }
 
 // -------------------------------------------------------- LowRankDense

@@ -21,7 +21,7 @@
 #include "baselines/efficientnet.h"
 #include "common/rng.h"
 #include "nn/dense.h"
-#include "nn/masked_dense.h"
+#include "nn/ops.h"
 #include "reward/reward.h"
 #include "exec/thread_pool.h"
 #include "searchspace/conv_space.h"
@@ -41,10 +41,11 @@ using h2o::common::Rng;
 // ------------------------------------------- masked-layer equivalence
 
 /**
- * Property: a MaskedDenseLayer restricted to (in, out) must compute
- * exactly what a plain DenseLayer built from the upper-left submatrix
- * computes — the foundational correctness claim of fine-grained weight
- * sharing (Figure 3 (3)).
+ * Property: the masked kernels over the upper-left (in, out) block of a
+ * larger weight matrix compute exactly what a plain DenseLayer built
+ * from that submatrix computes — the foundational correctness claim of
+ * fine-grained weight sharing (Figure 3 (3)), and the supernet's
+ * forward for one MLP slot.
  */
 class MaskEquivalenceTest
     : public testing::TestWithParam<std::tuple<int, int, int, int>>
@@ -55,33 +56,35 @@ TEST_P(MaskEquivalenceTest, MaskedEqualsSubmatrixDense)
 {
     auto [max_in, max_out, in, out] = GetParam();
     Rng rng(uint64_t(max_in) * 131 + max_out);
-    nn::MaskedDenseLayer masked(max_in, max_out, nn::Activation::Tanh,
-                                rng);
-    masked.setActive(in, out);
+    nn::Tensor w(max_in, max_out), b(std::vector<size_t>{size_t(max_out)});
+    w.heInit(rng, max_in);
+    b.gaussianInit(rng, 0.1f);
 
-    // Build the reference dense layer from the masked layer's active
-    // submatrix.
-    Rng dummy(1);
-    nn::DenseLayer dense(in, out, nn::Activation::Tanh, dummy);
-    auto masked_params = masked.params();
-    auto dense_params = dense.params();
-    const nn::Tensor &mw = *masked_params[0].value;
-    nn::Tensor &dw = *dense_params[0].value;
+    // The reference dense layer over copies of the active submatrix.
+    nn::Tensor dw(in, out), db(std::vector<size_t>{size_t(out)});
     for (int r = 0; r < in; ++r)
         for (int c = 0; c < out; ++c)
-            dw.at(r, c) = mw.at(r, c);
-    const nn::Tensor &mb = *masked_params[1].value;
-    nn::Tensor &db = *dense_params[1].value;
+            dw.at(r, c) = w.at(r, c);
     for (int c = 0; c < out; ++c)
-        db[c] = mb[c];
+        db[c] = b[c];
+    nn::DenseLayer dense(std::move(dw), std::move(db), nn::Activation::Tanh);
 
-    nn::Tensor input(3, static_cast<size_t>(in));
+    // The input is as wide as the bank; columns past `in` are masked.
+    nn::Tensor input(3, static_cast<size_t>(max_in));
     input.gaussianInit(rng, 1.0f);
-    const nn::Tensor &a = masked.forward(input);
-    const nn::Tensor &b = dense.forward(input);
-    ASSERT_EQ(a.cols(), b.cols());
-    for (size_t i = 0; i < a.size(); ++i)
-        EXPECT_NEAR(a[i], b[i], 1e-5);
+    nn::Tensor narrow(3, static_cast<size_t>(in));
+    for (size_t i = 0; i < 3; ++i)
+        for (int c = 0; c < in; ++c)
+            narrow.at(i, c) = input.at(i, c);
+
+    nn::Tensor masked(3, static_cast<size_t>(out));
+    nn::matmulMasked(input, w, masked, in, out);
+    nn::addBias(masked, b, out);
+    nn::activateTensor(nn::Activation::Tanh, masked, masked);
+    const nn::Tensor &ref = dense.forward(narrow);
+    ASSERT_EQ(masked.cols(), ref.cols());
+    for (size_t i = 0; i < masked.size(); ++i)
+        EXPECT_NEAR(masked[i], ref[i], 1e-5);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -222,13 +222,11 @@ TEST(EvaluateBatch, LeavesTrainingStateUntouched)
     // Fixture a: batched eval, then a training step.
     (void)a.net.evaluateBatch(eval_samples, lease_a.batch());
     a.net.configure(train_sample);
-    double loss_a = a.net.accumulateGradients(lease_a.batch());
-    a.net.applyGradients(0.05);
+    double loss_a = a.net.trainStep(lease_a.batch(), 0.05);
 
     // Fixture b: the training step alone.
     b.net.configure(train_sample);
-    double loss_b = b.net.accumulateGradients(lease_b.batch());
-    b.net.applyGradients(0.05);
+    double loss_b = b.net.trainStep(lease_b.batch(), 0.05);
 
     EXPECT_EQ(loss_a, loss_b);
 

@@ -2,17 +2,23 @@
  * @file
  * Unit tests for the DLRM weight-sharing super-network: configuration,
  * forward/backward shapes, the hybrid sharing invariants (fine-grained
- * width masks, coarse-grained vocab isolation), real training, and
- * construction that fills its banks in parallel without changing a bit.
+ * width masks, coarse-grained vocab isolation), real training, the
+ * data-parallel step (per-shard gradients, the fixed-order fused
+ * reduce), and construction that fills its banks in parallel without
+ * changing a bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/serialize.h"
+#include "exec/shard_runner.h"
 #include "exec/thread_pool.h"
+#include "nn/ops.h"
 #include "pipeline/traffic_generator.h"
 #include "searchspace/dlrm_space.h"
 #include "supernet/dlrm_supernet.h"
@@ -242,55 +248,260 @@ TEST(Supernet, TableRemovalStillRuns)
     EXPECT_TRUE(std::isfinite(eval.logLoss));
 }
 
-TEST(Supernet, GradAccumulationMatchesTrainStep)
+TEST(Supernet, ShardStepMatchesTrainStep)
 {
-    // accumulate + apply must equal trainStep given equal inputs.
+    // plan + accumulateGradients + a one-shard applyGradients must equal
+    // the trainStep convenience given equal inputs.
     Fixture f1(5), f2(5);
     auto sample = f1.space.baselineSample();
     f1.net.configure(sample);
-    f2.net.configure(sample);
     auto batch = f1.traffic.nextBatch(32);
 
     double loss1 = f1.net.trainStep(batch, 0.1);
-    double loss2 = f2.net.accumulateGradients(batch);
-    f2.net.applyGradients(0.1);
+    const sn::SupernetPlan plan = f2.net.plan(sample);
+    sn::SupernetContext ctx;
+    sn::StepGradients grads;
+    grads.layout(f2.net, std::span<const sn::SupernetPlan>(&plan, 1));
+    EXPECT_TRUE(grads[0].empty());
+    double loss2 = f2.net.accumulateGradients(plan, batch, ctx, grads[0]);
+    EXPECT_FALSE(grads[0].empty());
+    f2.net.applyGradients(grads.shards(), 0.1);
+    EXPECT_TRUE(grads[0].empty());
     EXPECT_DOUBLE_EQ(loss1, loss2);
 
-    auto probe = f1.traffic.nextBatch(32);
-    auto e1 = f1.net.evaluate(probe);
-    auto e2 = f2.net.evaluate(probe);
-    EXPECT_NEAR(e1.logLoss, e2.logLoss, 1e-9);
+    for (size_t t = 0; t < f1.net.weights().size(); ++t)
+        EXPECT_EQ(f1.net.weights()[t]->data(), f2.net.weights()[t]->data())
+            << "tensor " << t;
 }
 
-// load() drops the gradients accumulated before it, sparse table slots
-// included: a step right after it leaves the loaded weights as they are.
-TEST(Supernet, LoadClearsAccumulatedGradients)
+namespace {
+
+/** The candidates of a reduce test: the baseline, a duplicate of it,
+ *  one with both tables removed, one with a low-rank top slot, one
+ *  with table 0 removed and a different vocab choice, and random ones. */
+std::vector<ss::Sample>
+reduceSamples(const ss::DlrmSearchSpace &space)
 {
-    Fixture f(7);
-    std::ostringstream saved;
-    f.net.save(saved);
-    f.net.configure(f.space.baselineSample());
-    (void)f.net.accumulateGradients(f.traffic.nextBatch(32));
-
-    std::istringstream is(saved.str());
-    f.net.load(is);
-    f.net.applyGradients(0.1);
-    std::ostringstream after;
-    f.net.save(after);
-    EXPECT_EQ(saved.str(), after.str());
+    const auto &d = space.decisions();
+    std::vector<ss::Sample> out;
+    out.push_back(space.baselineSample());
+    out.push_back(space.baselineSample()); // duplicate candidate
+    ss::Sample removed = space.baselineSample();
+    removed[d.indexOf("emb0_width")] = 0;
+    removed[d.indexOf("emb1_width")] = 0;
+    out.push_back(removed);
+    ss::Sample low_rank = space.baselineSample();
+    low_rank[d.indexOf("top0_rank")] = 0;
+    out.push_back(low_rank);
+    ss::Sample mixed = space.baselineSample();
+    mixed[d.indexOf("emb0_width")] = 0;
+    mixed[space.vocabDecisionIndex(1)] = 0;
+    mixed[d.indexOf("top1_rank")] = 2;
+    out.push_back(mixed);
+    Rng rng(31);
+    for (int i = 0; i < 3; ++i)
+        out.push_back(d.uniformSample(rng));
+    return out;
 }
 
-// A warmed-up train step (several accumulate calls, then one update)
-// reuses every buffer, the tables' gradient slots included.
+} // namespace
+
+// The fused reduce + SGD against a serial reference: each shard's
+// gradient computed alone in its own context, summed element by element
+// in ascending shard order from zero, w -= lr * sum. The data-parallel
+// step (4 lanes claiming shards dynamically, contexts shared across
+// shards) must reproduce it bit for bit — removed tables, the low-rank
+// path and duplicate candidates included — with either kernel family.
+TEST(Supernet, ShardGradientReduceMatchesSerialReference)
+{
+    const nn::KernelImpl saved = nn::kernelImpl();
+    for (nn::KernelImpl impl :
+         {nn::KernelImpl::Reference, nn::KernelImpl::Tiled}) {
+        SCOPED_TRACE(nn::kernelImplName(impl));
+        nn::setKernelImpl(impl);
+        Fixture ref(21), par(21);
+        const auto samples = reduceSamples(ref.space);
+        const size_t n = samples.size();
+        std::vector<pl::Batch> batches;
+        for (size_t i = 0; i < n; ++i)
+            batches.push_back(ref.traffic.nextBatch(24));
+        const double lr = 0.3;
+
+        std::vector<sn::SupernetPlan> plans;
+        for (const ss::Sample &sample : samples)
+            plans.push_back(ref.net.plan(sample));
+
+        // Serial reference: one fresh context per shard.
+        std::vector<sn::SupernetContext> ref_ctx(n);
+        sn::StepGradients ref_grads;
+        ref_grads.layout(ref.net, plans);
+        std::vector<double> ref_loss(n);
+        for (size_t i = 0; i < n; ++i)
+            ref_loss[i] = ref.net.accumulateGradients(
+                plans[i], batches[i], ref_ctx[i], ref_grads[i]);
+        std::vector<nn::Tensor> expected;
+        const float flr = static_cast<float>(lr);
+        for (size_t t = 0; t < ref.net.weights().size(); ++t) {
+            nn::Tensor w = *ref.net.weights()[t];
+            for (size_t r = 0; r < w.rows(); ++r) {
+                for (size_t c = 0; c < w.cols(); ++c) {
+                    float g = 0.0f;
+                    for (size_t i = 0; i < n; ++i)
+                        g += ref_grads[i].at(t, r, c);
+                    w[r * w.cols() + c] -= flr * g;
+                }
+            }
+            expected.push_back(std::move(w));
+        }
+
+        // The data-parallel step: reserved contexts shared by shards.
+        h2o::exec::ThreadPool pool(4);
+        h2o::exec::ShardRunner runner(pool, {n});
+        std::vector<sn::SupernetContext> ctx(runner.lanes());
+        for (auto &c : ctx)
+            par.net.reserve(c, 24);
+        sn::StepGradients grads;
+        grads.layout(par.net, plans);
+        std::vector<double> loss(n);
+        runner.forEach(n, [&](size_t i, size_t lane) {
+            loss[i] = par.net.accumulateGradients(plans[i], batches[i],
+                                                  ctx[lane], grads[i]);
+        });
+        for (size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(loss[i], ref_loss[i]) << "shard " << i;
+            for (size_t t = 0; t < par.net.weights().size(); t += 7)
+                EXPECT_EQ(grads[i].at(t, 0, 0), ref_grads[i].at(t, 0, 0));
+        }
+        par.net.applyGradients(grads.shards(), lr);
+        for (const auto &g : grads.shards())
+            EXPECT_TRUE(g.empty());
+
+        for (size_t t = 0; t < expected.size(); ++t) {
+            const auto &got = par.net.weights()[t]->data();
+            const auto &want = expected[t].data();
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(float)),
+                      0)
+                << "tensor " << t;
+        }
+    }
+    nn::setKernelImpl(saved);
+}
+
+// The gradient of a shard is the derivative of its loss: central
+// differences on the elements each bank tensor's gradient is largest
+// at, through checkpoint edits (the banks have no public mutator).
+TEST(Supernet, ShardGradientsMatchFiniteDifference)
+{
+    // Small banks keep the checkpoint text (and the test) short.
+    Fixture f(23);
+    const sn::SupernetConfig small{32, 16};
+    sn::DlrmSupernet net(f.space, small, f.rng);
+    ss::Sample s = f.space.baselineSample();
+    s[f.space.decisions().indexOf("top0_rank")] = 2; // low-rank slot
+    const sn::SupernetPlan plan = net.plan(s);
+    const pl::Batch batch = f.traffic.nextBatch(16);
+
+    sn::SupernetContext ctx;
+    sn::StepGradients step;
+    step.layout(net, std::span<const sn::SupernetPlan>(&plan, 1));
+    const sn::ShardGradients &grads = step[0];
+    (void)net.accumulateGradients(plan, batch, ctx, step[0]);
+
+    std::ostringstream os;
+    net.save(os);
+    std::istringstream is(os.str());
+    const size_t tensors =
+        size_t(h2o::common::readTaggedScalar(is, "supernet_tensors"));
+    std::vector<std::vector<double>> image;
+    for (size_t t = 0; t < tensors; ++t)
+        image.push_back(h2o::common::readTagged(is, "w" + std::to_string(t)));
+    sn::DlrmSupernet probe(f.space, small, f.rng);
+    auto loss_with = [&](size_t t, size_t e, double v) {
+        std::vector<std::vector<double>> edited = image;
+        edited[t][e] = v;
+        std::ostringstream out;
+        h2o::common::writeTaggedScalar(out, "supernet_tensors",
+                                       double(tensors));
+        for (size_t i = 0; i < tensors; ++i)
+            h2o::common::writeTagged(out, "w" + std::to_string(i),
+                                     edited[i]);
+        std::istringstream in(out.str());
+        probe.load(in);
+        sn::SupernetContext c;
+        sn::StepGradients g;
+        g.layout(probe, std::span<const sn::SupernetPlan>(&plan, 1));
+        return probe.accumulateGradients(plan, batch, c, g[0]);
+    };
+
+    // One embedding table (the first the candidate reads), then every
+    // dense bank tensor it reaches.
+    bool table_checked = false;
+    size_t checked = 0;
+    for (size_t t = 0; t < tensors; ++t) {
+        const bool is_table = t < 2 * f.space.numVocabChoices();
+        if (is_table && table_checked)
+            continue;
+        const nn::Tensor &w = *net.weights()[t];
+        size_t best = w.size();
+        float best_g = 0.0f;
+        for (size_t e = 0; e < w.size(); ++e) {
+            float g = grads.at(t, e / w.cols(), e % w.cols());
+            if (std::abs(g) > std::abs(best_g)) {
+                best_g = g;
+                best = e;
+            }
+        }
+        if (best == w.size() || std::abs(best_g) < 1e-3f)
+            continue; // the candidate does not reach this tensor
+        const double eps = 1e-2;
+        const double numeric =
+            (loss_with(t, best, image[t][best] + eps) -
+             loss_with(t, best, image[t][best] - eps)) /
+            (2.0 * eps);
+        EXPECT_NEAR(best_g, numeric, 2e-2 * std::max(1.0, std::abs(numeric)))
+            << "tensor " << t << " element " << best;
+        table_checked = table_checked || is_table;
+        ++checked;
+    }
+    // A table, full-rank and low-rank slots, biases, the logit head.
+    EXPECT_TRUE(table_checked);
+    EXPECT_GE(checked, 8u);
+}
+
+// A warmed-up 16-shard data-parallel step (lanes claim shards
+// dynamically, each shard's forward/backward in the lane's reserved
+// context, then the fused reduce) reuses every buffer, the tables'
+// gradient slots included.
 TEST(Supernet, SteadyStateTrainStepAllocatesNoTensors)
 {
     Fixture f(8);
-    f.net.configure(f.space.baselineSample());
+    constexpr size_t kShards = 16;
+    h2o::exec::ThreadPool pool(4);
+    h2o::exec::ShardRunner runner(pool, {kShards});
+    std::vector<sn::SupernetContext> ctx(runner.lanes());
+    for (auto &c : ctx)
+        f.net.reserve(c, 32);
+    sn::StepGradients grads;
+    std::vector<sn::SupernetPlan> plans;
+    Rng srng(3);
+    for (size_t i = 0; i < kShards; ++i)
+        plans.push_back(f.net.plan(f.space.decisions().uniformSample(srng)));
+
+    std::vector<pl::Batch> batches(kShards);
     auto step = [&] {
-        for (int call = 0; call < 3; ++call)
-            (void)f.net.accumulateGradients(f.traffic.nextBatch(32));
-        f.net.applyGradients(0.05);
+        for (auto &b : batches)
+            b = f.traffic.nextBatch(32);
+        grads.layout(f.net, plans);
+        runner.forEach(kShards, [&](size_t i, size_t lane) {
+            (void)f.net.accumulateGradients(plans[i], batches[i], ctx[lane],
+                                            grads[i]);
+        });
+        f.net.applyGradients(grads.shards(), 0.05);
     };
+    // Warm-up steps for the tables' gradient slots and the reduce's
+    // scratch (the reserved contexts need none).
     for (int i = 0; i < 5; ++i)
         step();
     nn::resetTensorAllocCount();
