@@ -1,22 +1,29 @@
 /**
  * @file
- * Hot-path micro-benchmark: A/B of the reference (naive scalar) vs tiled
- * matmul kernels at super-network shapes, the tiled kernels run inline
- * vs split across threads (common::parallelFor), steady-state
+ * Hot-path micro-benchmark: A/B of the reference (naive scalar) vs the
+ * library's matmul kernels at super-network shapes, the baseline vs the
+ * selected ISA build of the matmul micro-kernel, the library kernels
+ * run inline vs split across threads (common::parallelFor), steady-state
  * allocations per training step, and the SimCache hit rate on a
  * repeat-heavy evaluation stream. Emits machine-readable JSON
- * (BENCH_kernels.json, with the host's nproc) so perf regressions are
- * diffable across commits; registered as a ctest smoke with a tiny
- * iteration count.
+ * (BENCH_kernels.json, with the host's nproc and the selected ISA) so
+ * perf regressions are diffable across commits; registered as a ctest
+ * smoke with a tiny iteration count.
  *
  * Reported metrics:
  *  - GFLOP/s per masked kernel (matmul / transA / transB), reference vs
- *    tiled, at the DLRM supernet's bottom-MLP shape, both on one thread;
- *  - GFLOP/s per tiled kernel inline (called from a one-worker
+ *    library ("tiled"), at the DLRM supernet's bottom-MLP shape, both on
+ *    one thread;
+ *  - GFLOP/s per masked kernel built for the baseline ISA vs the ISA
+ *    the library selected on this CPU, on one thread, at the perf
+ *    model's layer shapes and the supernet shapes; the bench exits
+ *    non-zero unless both outputs are bitwise equal;
+ *  - GFLOP/s per library kernel inline (called from a one-worker
  *    exec::ThreadPool task, where kernels never split) vs parallel
  *    (called from the main thread), at the perf model's two layer
- *    shapes (256 x 87 x 128, 256 x 128 x 128) and the supernet shape.
- *    The bench exits non-zero unless both outputs are bitwise equal;
+ *    shapes (256 x 87 x 128, 256 x 128 x 128), its 128 -> 2 head
+ *    (256 x 128 x 2) and the supernet shape. The bench exits non-zero
+ *    unless both outputs are bitwise equal;
  *  - tensor allocations on the first (warm-up) supernet-style training
  *    step vs a steady-state step (target: 0);
  *  - tensor allocations per steady-state DlrmSupernet::evaluateBatch
@@ -58,6 +65,7 @@
 #include "exec/shard_runner.h"
 #include "exec/thread_pool.h"
 #include "nn/embedding.h"
+#include "nn/matmul_kernel.h"
 #include "nn/mlp.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
@@ -112,7 +120,7 @@ gflops(size_t iters, double flops_per_call, Fn &&fn)
     return flops_per_call * double(iters) / sec / 1e9;
 }
 
-/** One tiled kernel at one shape, inline vs split across threads. */
+/** One library kernel at one shape, inline vs split across threads. */
 struct ParallelScore
 {
     std::string shape;
@@ -135,7 +143,7 @@ sameBits(const nn::Tensor &x, const nn::Tensor &y)
 }
 
 /**
- * Score the three tiled kernels at (m x k x n). The inline side runs in
+ * Score the three library kernels at (m x k x n). The inline side runs in
  * a task on `inline_pool` (one worker: pool workers never split), the
  * parallel side on the calling thread. Each output is computed once
  * per side from the same zeroed start and compared bit for bit.
@@ -169,11 +177,75 @@ scoreParallel(const std::string &shape, size_t m, size_t k, size_t n,
     };
     nn::Tensor c(m, n), cw(k, n), cx(m, k);
     score("matmul_masked", c,
-          [&] { nn::tiled::matmulMasked(a, b, c, k, n); });
+          [&] { nn::matmulMasked(a, b, c, k, n); });
     score("matmul_transa_masked", cw,
-          [&] { nn::tiled::matmulTransAMasked(a, g, cw, k, n); });
+          [&] { nn::matmulTransAMasked(a, g, cw, k, n); });
     score("matmul_transb_masked", cx,
-          [&] { nn::tiled::matmulTransBMasked(g, b, cx, n, k); });
+          [&] { nn::matmulTransBMasked(g, b, cx, n, k); });
+}
+
+/** One masked kernel at one shape, baseline ISA build vs selected. */
+struct IsaScore
+{
+    std::string shape;
+    std::string kernel;
+    double baselineGflops = 0.0;
+    double selectedGflops = 0.0;
+    bool bitwiseEqual = false;
+    double speedup() const
+    {
+        return baselineGflops > 0.0 ? selectedGflops / baselineGflops : 0.0;
+    }
+};
+
+/**
+ * Score the three masked kernels at (m x k x n) with the baseline build
+ * and with the selected one, both in a task on `inline_pool` (one
+ * thread). Each output is computed once per build from the same zeroed
+ * start and compared bit for bit.
+ */
+void
+scoreIsa(const std::string &shape, size_t m, size_t k, size_t n,
+         size_t iters, exec::ThreadPool &inline_pool, common::Rng &rng,
+         std::vector<IsaScore> &out)
+{
+    nn::Tensor a = randomTensor(m, k, rng);
+    nn::Tensor b = randomTensor(k, n, rng);
+    nn::Tensor g = randomTensor(m, n, rng);
+    double flops = 2.0 * double(m) * double(k) * double(n);
+    const nn::isa::Variant &base = nn::isa::supportedVariants().front();
+    const nn::isa::Variant &sel = nn::isa::selectedVariant();
+
+    auto score = [&](const char *kernel, nn::Tensor &c, auto &&call) {
+        IsaScore s{shape, kernel};
+        nn::Tensor base_out;
+        c.zero();
+        call(base);
+        base_out = c;
+        s.baselineGflops = gflops(iters, flops, [&] { call(base); });
+        c.zero();
+        call(sel);
+        s.bitwiseEqual = sameBits(base_out, c);
+        s.selectedGflops = gflops(iters, flops, [&] { call(sel); });
+        out.push_back(s);
+    };
+    nn::Tensor c(m, n), cw(k, n), cx(m, k);
+    inline_pool
+        .submit([&] {
+            score("matmul_masked", c, [&](const nn::isa::Variant &v) {
+                nn::isa::matmulMasked(v, a, b, c, k, n, false);
+            });
+            score("matmul_transa_masked", cw,
+                  [&](const nn::isa::Variant &v) {
+                      nn::isa::matmulTransAMasked(v, a, g, cw.data().data(),
+                                                  n, k, n);
+                  });
+            score("matmul_transb_masked", cx,
+                  [&](const nn::isa::Variant &v) {
+                      nn::isa::matmulTransBMasked(v, g, b, cx, n, k, false);
+                  });
+        })
+        .get();
 }
 
 double
@@ -433,7 +505,7 @@ main(int argc, char **argv)
     nn::Tensor bt = randomTensor(k, n, rng); // used transposed: C = A * B^T
     nn::Tensor c(m, n), ct(k, n), cb(m, k);
 
-    // Both sides of the reference/tiled A/B run on one thread, inside a
+    // Both sides of the reference/library A/B run on one thread, inside a
     // one-worker pool task.
     exec::ThreadPool inline_pool(1);
     double mm_flops = 2.0 * double(m) * double(k) * double(n);
@@ -443,7 +515,7 @@ main(int argc, char **argv)
             nn::reference::matmulMasked(a, b, c, k, n);
         });
         matmul.tiledGflops = gflops(iters, mm_flops, [&] {
-            nn::tiled::matmulMasked(a, b, c, k, n);
+            nn::matmulMasked(a, b, c, k, n);
         });
         ct.zero();
         transa.referenceGflops = gflops(iters, mm_flops, [&] {
@@ -451,26 +523,44 @@ main(int argc, char **argv)
         });
         ct.zero();
         transa.tiledGflops = gflops(iters, mm_flops, [&] {
-            nn::tiled::matmulTransAMasked(a, c, ct, k, n);
+            nn::matmulTransAMasked(a, c, ct, k, n);
         });
         transb.referenceGflops = gflops(iters, mm_flops, [&] {
             nn::reference::matmulTransBMasked(c, bt, cb, n, k);
         });
         transb.tiledGflops = gflops(iters, mm_flops, [&] {
-            nn::tiled::matmulTransBMasked(c, bt, cb, n, k);
+            nn::matmulTransBMasked(c, bt, cb, n, k);
         });
     }).get();
 
-    // --- Inline vs parallel tiled kernels: the perf model's layer
-    // shapes (batch 256, 87 encoded features, hidden width 128) and the
-    // supernet shape above.
+    // --- Baseline vs selected ISA, one thread: the perf model's layer
+    // shapes, the supernet shape above and a flagship top-MLP layer
+    // (batch 64).
+    std::vector<IsaScore> isa_scores;
+    scoreIsa("perfmodel_l1", 256, 87, 128, iters, inline_pool, rng,
+             isa_scores);
+    scoreIsa("perfmodel_l2", 256, 128, 128, iters, inline_pool, rng,
+             isa_scores);
+    scoreIsa("perfmodel_head", 256, 128, 2, iters, inline_pool, rng,
+             isa_scores);
+    scoreIsa("supernet", m, k, n, iters, inline_pool, rng, isa_scores);
+    scoreIsa("supernet_top", 64, 128, 64, iters, inline_pool, rng,
+             isa_scores);
+    bool all_equal = true;
+    for (const IsaScore &s : isa_scores)
+        all_equal = all_equal && s.bitwiseEqual;
+
+    // --- Inline vs parallel library kernels: the perf model's layer
+    // shapes (batch 256, 87 encoded features, hidden width 128), its
+    // 128 -> 2 head and the supernet shape above.
     std::vector<ParallelScore> parallel;
     scoreParallel("perfmodel_l1", 256, 87, 128, iters, inline_pool, rng,
                   parallel);
     scoreParallel("perfmodel_l2", 256, 128, 128, iters, inline_pool, rng,
                   parallel);
+    scoreParallel("perfmodel_head", 256, 128, 2, iters, inline_pool, rng,
+                  parallel);
     scoreParallel("supernet", m, k, n, iters, inline_pool, rng, parallel);
-    bool all_equal = true;
     for (const ParallelScore &s : parallel)
         all_equal = all_equal && s.bitwiseEqual;
 
@@ -603,9 +693,17 @@ main(int argc, char **argv)
     line("matmulMasked", matmul);
     line("matmulTransAMasked", transa);
     line("matmulTransBMasked", transb);
+    std::cout << "baseline vs selected ISA ("
+              << nn::isa::selectedVariant().name
+              << "), one thread, GFLOP/s:\n";
+    for (const IsaScore &s : isa_scores)
+        std::cout << "  " << s.shape << " " << s.kernel << ": baseline "
+                  << s.baselineGflops << ", selected " << s.selectedGflops
+                  << " (" << s.speedup() << "x)"
+                  << (s.bitwiseEqual ? "" : " OUTPUTS DIFFER") << "\n";
     // nproc: the CPUs in this process's affinity mask, as nproc(1)
     // counts them — the width parallelFor splits to.
-    std::cout << "tiled inline vs parallel (nproc "
+    std::cout << "library inline vs parallel (nproc "
               << common::parallelWidth() << "), GFLOP/s:\n";
     for (const ParallelScore &s : parallel)
         std::cout << "  " << s.shape << " " << s.kernel << ": inline "
@@ -653,6 +751,7 @@ main(int argc, char **argv)
     }
     js << "{\n"
        << "  \"nproc\": " << common::parallelWidth() << ",\n"
+       << "  \"isa\": \"" << nn::isa::selectedVariant().name << "\",\n"
        << "  \"shape\": {\"m\": " << m << ", \"k\": " << k << ", \"n\": "
        << n << "},\n"
        << "  \"iters\": " << iters << ",\n"
@@ -667,6 +766,17 @@ main(int argc, char **argv)
        << transb.referenceGflops << ", \"tiled\": " << transb.tiledGflops
        << ", \"speedup\": " << transb.speedup() << "}\n"
        << "  },\n"
+       << "  \"baseline_vs_selected_isa\": [\n";
+    for (size_t i = 0; i < isa_scores.size(); ++i) {
+        const IsaScore &s = isa_scores[i];
+        js << "    {\"shape\": \"" << s.shape << "\", \"kernel\": \""
+           << s.kernel << "\", \"baseline_gflops\": " << s.baselineGflops
+           << ", \"selected_gflops\": " << s.selectedGflops
+           << ", \"speedup\": " << s.speedup() << ", \"bitwise_equal\": "
+           << (s.bitwiseEqual ? "true" : "false") << "}"
+           << (i + 1 < isa_scores.size() ? "," : "") << "\n";
+    }
+    js << "  ],\n"
        << "  \"inline_vs_parallel\": [\n";
     for (size_t i = 0; i < parallel.size(); ++i) {
         const ParallelScore &s = parallel[i];
@@ -723,8 +833,9 @@ main(int argc, char **argv)
        << "}\n";
     std::cout << "wrote " << json_path << "\n";
     // The batched eval path's zero-alloc contract is load-bearing for
-    // the quality stage's throughput, a split kernel, supernet build or
-    // train step must match its inline / one-lane run bit for bit, and
+    // the quality stage's throughput, every ISA build of a kernel must
+    // match the baseline one, a split kernel, supernet build or train
+    // step must match its inline / one-lane run bit for bit, and
     // sparse embedding SGD must match the dense update — fail the smoke
     // when any breaks.
     return eval_steady_allocs == 0 && all_equal && sparse_equal ? 0 : 1;

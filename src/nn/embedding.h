@@ -12,10 +12,10 @@
  *
  * Lookups are multivalent with mean pooling: each example supplies a small
  * list of ids for the feature and receives the average of their rows. The
- * pooled gather and the gradient scatter-add run through the tiled kernel
- * family in nn/ops.h (selectable via H2O_KERNELS, bitwise identical across
- * implementations); ids are staged into flat CSR-style buffers
- * (rows/offsets/inv) that are reused across calls.
+ * pooled gather and the gradient scatter-add run through the embedding
+ * kernels in nn/ops.h (bitwise identical to their reference oracles);
+ * ids are staged into flat CSR-style buffers (rows/offsets/inv) that
+ * are reused across calls.
  *
  * Gradients are row-sparse: a batch touches a few hundred of the
  * table's rows, so instead of a dense vocab x width accumulator each

@@ -1,11 +1,10 @@
 #include "nn/ops.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 
 #include "common/logging.h"
 #include "common/parallel.h"
+#include "nn/matmul_kernel.h"
 
 namespace h2o::nn {
 
@@ -83,51 +82,10 @@ checkEmbedding(size_t table_cols, std::span<const uint32_t> rows,
                "embedding kernel: width exceeds batch tensor cols");
 }
 
-std::atomic<KernelImpl> g_impl{KernelImpl::Tiled};
-
-/** One-time H2O_KERNELS env override, applied before first dispatch. */
-bool
-applyEnvOverride()
-{
-    if (const char *env = std::getenv("H2O_KERNELS"))
-        g_impl.store(kernelImplFromName(env), std::memory_order_relaxed);
-    return true;
-}
-
 } // namespace
 
-void
-setKernelImpl(KernelImpl impl)
-{
-    g_impl.store(impl, std::memory_order_relaxed);
-}
-
-KernelImpl
-kernelImpl()
-{
-    static bool env_applied = applyEnvOverride();
-    (void)env_applied;
-    return g_impl.load(std::memory_order_relaxed);
-}
-
-KernelImpl
-kernelImplFromName(const std::string &name)
-{
-    if (name == "tiled")
-        return KernelImpl::Tiled;
-    if (name == "reference")
-        return KernelImpl::Reference;
-    h2o_fatal("unknown kernel impl '", name, "' (want tiled|reference)");
-}
-
-const char *
-kernelImplName(KernelImpl impl)
-{
-    return impl == KernelImpl::Tiled ? "tiled" : "reference";
-}
-
 // ---------------------------------------------------------------------------
-// Reference kernels: the original scalar loops, kept as the A/B oracle.
+// Reference kernels: the original scalar loops, kept as the test oracle.
 // ---------------------------------------------------------------------------
 
 namespace reference {
@@ -302,93 +260,240 @@ matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t n_act,
 } // namespace reference
 
 // ---------------------------------------------------------------------------
-// Tiled kernels.
+// Matmul kernels: the ISA variants of nn/matmul_kernel.cc.
 //
-// The blocking schedule is a compile-time constant (kRowTile rows of the
-// left operand per micro-kernel, kColTile output columns per block, k
-// strictly ascending inside each block), so for a given shape every run —
-// at any thread count — performs the identical sequence of FP operations
-// per output element. That is the determinism contract: bit-identical
-// repeats for the tiled impl, ~1e-5 agreement vs the reference impl
-// (whose summation order differs).
+// Per output element every variant runs the reference kernel's sequence
+// (k or i ascending, one multiply then one add, from the same start), so
+// each variant equals the reference bit for bit and the choice of ISA
+// never changes a value.
 //
-// The three masked matmuls fork-join over output row tiles
-// (common::parallelFor with align = kRowTile). A part boundary is always
-// a tile boundary, so every row sits in the same tile — and runs the
-// same micro-kernel — as in one serial pass: results are bitwise equal
-// at any core count.
+// matmulMasked and matmulTransAMasked fork-join over output rows
+// (common::parallelFor with align = kRowTile, the micro-kernel's row
+// count), matmulTransBMasked over output columns; no element's value
+// depends on the part or the tile it lands in.
 // ---------------------------------------------------------------------------
 
-namespace tiled {
+namespace isa {
 
 namespace {
 
-/** Rows of the left operand processed together by a micro-kernel. */
+/** Rows of a micro-kernel tile: the row split's alignment. */
 constexpr size_t kRowTile = 4;
-/** Output columns per register block; 64 floats = one cache-resident
- *  strip that still leaves room for kRowTile accumulator rows in L1. */
-constexpr size_t kColTile = 64;
+/** Work units per micro-kernel step; see gemmWork(). */
+constexpr size_t kWorkPerVectorStep = 3;
+/** matmulTransBMasked's column split alignment, and the rows of B it
+ *  transposes together when staging. */
+constexpr size_t kSplitCols = 16;
+/** Columns of C per staged panel of B^T in matmulTransBMasked: the
+ *  AVX-512 build's widest tile. */
+constexpr size_t kPanelCols = 64;
+/** Floats in a staged panel (64 KiB on the part's stack): a full-width
+ *  panel for contractions up to 256 wide, narrower ones up to 16384. */
+constexpr size_t kPanelFloats = 16384;
 
-/** The tiled matmulMasked loops over an explicit row range. Row tiling
- *  restarts at row0, but per output element the contraction is k
- *  ascending regardless of tile position — so the grouped entry point
- *  is bitwise identical to per-candidate calls. */
-void
-matmulMaskedRows(const Tensor &a, const Tensor &b, Tensor &c, size_t row0,
-                 size_t rows, size_t k_act, size_t n_act, bool accumulate)
+struct VariantTable
 {
-    const float *ad = a.data().data();
-    const float *bd = b.data().data();
-    float *cd = c.data().data();
-    size_t ka = a.cols(), nb = b.cols(), nc = c.cols();
+    Variant variants[3] = {};
+    size_t count = 0;
+};
 
-    for (size_t i0 = row0; i0 < row0 + rows; i0 += kRowTile) {
-        size_t rt = std::min(kRowTile, row0 + rows - i0);
-        for (size_t j0 = 0; j0 < n_act; j0 += kColTile) {
-            size_t jt = std::min(kColTile, n_act - j0);
-            float acc[kRowTile][kColTile];
-            for (size_t r = 0; r < rt; ++r) {
-                float *crow = cd + (i0 + r) * nc + j0;
-                if (accumulate) {
-                    for (size_t j = 0; j < jt; ++j)
-                        acc[r][j] = crow[j];
-                } else {
-                    for (size_t j = 0; j < jt; ++j)
-                        acc[r][j] = 0.0f;
-                }
-            }
-            // k ascending for every C element: fixed summation order.
-            for (size_t k = 0; k < k_act; ++k) {
-                const float *brow = bd + k * nb + j0;
-                for (size_t r = 0; r < rt; ++r) {
-                    float av = ad[(i0 + r) * ka + k];
-                    float *arow = acc[r];
-#pragma omp simd
-                    for (size_t j = 0; j < jt; ++j)
-                        arow[j] += av * brow[j];
-                }
-            }
-            for (size_t r = 0; r < rt; ++r) {
-                float *crow = cd + (i0 + r) * nc + j0;
-                for (size_t j = 0; j < jt; ++j)
-                    crow[j] = acc[r][j];
-            }
-        }
-    }
+VariantTable
+probeVariants()
+{
+    VariantTable t;
+    t.variants[t.count++] = {"baseline", 4, gemmBaseline};
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        t.variants[t.count++] = {"avx2", 8, gemmAvx2};
+    if (__builtin_cpu_supports("avx512f"))
+        t.variants[t.count++] = {"avx512f", 16, gemmAvx512f};
+#endif
+    return t;
+}
+
+const VariantTable &
+variantTable()
+{
+    static const VariantTable table = probeVariants();
+    return table;
+}
+
+/** Rows [row0, row0 + rows) of C = (or +=) A * B over the active
+ *  region; shared by the plain and grouped entry points. */
+Gemm
+matmulRows(const Tensor &a, const Tensor &b, Tensor &c, size_t row0,
+           size_t rows, size_t k_act, size_t n_act, bool accumulate)
+{
+    Gemm g;
+    g.a = a.data().data() + row0 * a.cols();
+    g.aRow = a.cols();
+    g.aStep = 1;
+    g.b = b.data().data();
+    g.ldb = b.cols();
+    g.c = c.data().data() + row0 * c.cols();
+    g.ldc = c.cols();
+    g.rows = rows;
+    g.cols = n_act;
+    g.depth = k_act;
+    g.init = accumulate ? GemmInit::LoadC : GemmInit::Zero;
+    return g;
+}
+
+/**
+ * The work of `g` in common::kParallelMinPartWork's units. The unit is
+ * about one multiply-add of a scalar-era kernel; the micro-kernel does
+ * one row x one vector x one k step (v.lanes multiply-adds) in the time
+ * of about kWorkPerVectorStep units, and a tile's C load and store cost
+ * about two steps. Counting vectors rather than multiply-adds keeps
+ * narrow outputs (a 128 -> 2 head pads its 2 columns to one vector)
+ * from looking cheaper than they run.
+ */
+size_t
+gemmWork(const Variant &v, const Gemm &g)
+{
+    const size_t vectors = (g.cols + v.lanes - 1) / v.lanes;
+    return kWorkPerVectorStep * g.rows * vectors * (g.depth + 2);
+}
+
+/** Run `g` split over its rows on tile boundaries. */
+void
+gemmSplit(const Variant &v, const Gemm &g)
+{
+    common::parallelFor(g.rows, kRowTile, gemmWork(v, g),
+                        [&](size_t r0, size_t r1) {
+                            Gemm part = g;
+                            part.a += r0 * g.aRow;
+                            part.c += r0 * g.ldc;
+                            part.rows = r1 - r0;
+                            v.gemm(part);
+                        });
 }
 
 } // namespace
+
+std::span<const Variant>
+supportedVariants()
+{
+    const VariantTable &t = variantTable();
+    return {t.variants, t.count};
+}
+
+const Variant &
+selectedVariant()
+{
+    const VariantTable &t = variantTable();
+    return t.variants[t.count - 1];
+}
+
+void
+matmulMasked(const Variant &v, const Tensor &a, const Tensor &b, Tensor &c,
+             size_t k_act, size_t n_act, bool accumulate)
+{
+    checkMatmulMasked(a, b, c, k_act, n_act);
+    gemmSplit(v, matmulRows(a, b, c, 0, a.rows(), k_act, n_act, accumulate));
+}
+
+void
+matmulTransAMasked(const Variant &v, const Tensor &a, const Tensor &b,
+                   float *c, size_t ldc, size_t k_act, size_t n_act)
+{
+    checkMatmulTransAMasked(a, b, k_act, ldc, k_act, n_act);
+    // C[k, j] += sum_i A[i, k] B[i, j]: output row k reads column k of
+    // A, and the batch rows i are the contraction.
+    Gemm g;
+    g.a = a.data().data();
+    g.aRow = 1;
+    g.aStep = a.cols();
+    g.b = b.data().data();
+    g.ldb = b.cols();
+    g.c = c;
+    g.ldc = ldc;
+    g.rows = k_act;
+    g.cols = n_act;
+    g.depth = a.rows();
+    g.init = GemmInit::LoadC;
+    gemmSplit(v, g);
+}
+
+void
+matmulTransBMasked(const Variant &v, const Tensor &a, const Tensor &b,
+                   Tensor &c, size_t n_act, size_t k_act, bool accumulate)
+{
+    checkMatmulTransBMasked(a, b, c, n_act, k_act);
+    // C[i, k] = sum_j A[i, j] B[k, j]: stage B transposed so the
+    // contraction streams rows of it, then add the finished sum to C
+    // when accumulating — the reference kernel's order. The parts split
+    // the output columns k, so the staging is split too: a part takes
+    // its columns a panel at a time, transposes those rows of B into a
+    // buffer on its own stack (n_act x w, w <= kPanelCols) and runs
+    // every row of A against it while it is in cache. Nothing is
+    // allocated, and no buffer outlives the call.
+    const size_t panel_cols =
+        std::min(kPanelCols, kPanelFloats / std::max<size_t>(n_act, 1));
+    Gemm g;
+    g.a = a.data().data();
+    g.aRow = a.cols();
+    g.aStep = 1;
+    g.c = c.data().data();
+    g.ldc = c.cols();
+    g.rows = a.rows();
+    g.cols = k_act;
+    g.depth = n_act;
+    g.init = accumulate ? GemmInit::AddToC : GemmInit::Zero;
+    const float *bd = b.data().data();
+    const size_t nb = b.cols();
+    common::parallelFor(
+        k_act, kSplitCols, gemmWork(v, g) + n_act * k_act,
+        [&](size_t k0, size_t k1) {
+            if (panel_cols == 0) {
+                // A contraction wider than a panel: plain dot products
+                // in the same order, without staging.
+                for (size_t i = 0; i < g.rows; ++i) {
+                    const float *arow = g.a + i * g.aRow;
+                    for (size_t k = k0; k < k1; ++k) {
+                        const float *brow = bd + k * nb;
+                        float acc = 0.0f;
+                        for (size_t j = 0; j < n_act; ++j)
+                            acc += arow[j] * brow[j];
+                        float &out = g.c[i * g.ldc + k];
+                        out = accumulate ? out + acc : acc;
+                    }
+                }
+                return;
+            }
+            float panel[kPanelFloats];
+            for (size_t p0 = k0; p0 < k1; p0 += panel_cols) {
+                const size_t w = std::min(k1 - p0, panel_cols);
+                // kSplitCols rows of B at a time: each panel row is
+                // written a contiguous run at a time while those B rows
+                // stay in L1 (a row-at-a-time transpose writes with a
+                // power-of-two stride at the usual widths and runs ~7x
+                // slower).
+                for (size_t kb = 0; kb < w; kb += kSplitCols) {
+                    const size_t ke = std::min(w, kb + kSplitCols);
+                    for (size_t j = 0; j < n_act; ++j)
+                        for (size_t k = kb; k < ke; ++k)
+                            panel[j * w + k] = bd[(p0 + k) * nb + j];
+                }
+                Gemm part = g;
+                part.b = panel;
+                part.ldb = w;
+                part.c += p0;
+                part.cols = w;
+                v.gemm(part);
+            }
+        });
+}
+
+} // namespace isa
 
 void
 matmulMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
              size_t n_act, bool accumulate)
 {
-    checkMatmulMasked(a, b, c, k_act, n_act);
-    common::parallelFor(a.rows(), kRowTile, a.rows() * k_act * n_act,
-                        [&](size_t i0, size_t i1) {
-                            matmulMaskedRows(a, b, c, i0, i1 - i0, k_act,
-                                             n_act, accumulate);
-                        });
+    isa::matmulMasked(isa::selectedVariant(), a, b, c, k_act, n_act,
+                      accumulate);
 }
 
 void
@@ -396,10 +501,47 @@ matmulMaskedGrouped(const Tensor &a, const Tensor &b, Tensor &c,
                     std::span<const MaskGroup> groups, bool accumulate)
 {
     checkGrouped(a, b, c, groups);
+    const isa::Variant &v = isa::selectedVariant();
     for (const MaskGroup &g : groups)
-        matmulMaskedRows(a, b, c, g.rowBegin, g.rows, g.kAct, g.nAct,
-                         accumulate);
+        v.gemm(isa::matmulRows(a, b, c, g.rowBegin, g.rows, g.kAct, g.nAct,
+                               accumulate));
 }
+
+void
+matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
+                   size_t n_act)
+{
+    checkMatmulTransAMasked(a, b, c.rows(), c.cols(), k_act, n_act);
+    isa::matmulTransAMasked(isa::selectedVariant(), a, b, c.data().data(),
+                            c.cols(), k_act, n_act);
+}
+
+void
+matmulTransAMasked(const Tensor &a, const Tensor &b, float *c, size_t ldc,
+                   size_t k_act, size_t n_act)
+{
+    isa::matmulTransAMasked(isa::selectedVariant(), a, b, c, ldc, k_act,
+                            n_act);
+}
+
+void
+matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t n_act,
+                   size_t k_act, bool accumulate)
+{
+    isa::matmulTransBMasked(isa::selectedVariant(), a, b, c, n_act, k_act,
+                            accumulate);
+}
+
+// ---------------------------------------------------------------------------
+// Embedding kernels.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** Columns per register strip of the embedding kernels. */
+constexpr size_t kStrip = 64;
+
+} // namespace
 
 void
 embeddingGatherPooled(const Tensor &table, std::span<const uint32_t> rows,
@@ -412,16 +554,16 @@ embeddingGatherPooled(const Tensor &table, std::span<const uint32_t> rows,
     float *od = out.data().data();
     size_t tw = table.cols(), ow = out.cols();
     // Blocked gather: the pooled row accumulates in registers per
-    // kColTile strip (one store per strip instead of a read-modify-write
+    // kStrip strip (one store per strip instead of a read-modify-write
     // per id). Per element the adds still run in id-list order from a
     // zero accumulator — bitwise identical to the reference kernel.
     for (size_t i = 0; i < out.rows(); ++i) {
         float *dst = od + i * ow;
         float w = inv[i];
         size_t p0 = offsets[i], p1 = offsets[i + 1];
-        for (size_t d0 = 0; d0 < width; d0 += kColTile) {
-            size_t dt = std::min(kColTile, width - d0);
-            float acc[kColTile];
+        for (size_t d0 = 0; d0 < width; d0 += kStrip) {
+            size_t dt = std::min(kStrip, width - d0);
+            float acc[kStrip];
             for (size_t j = 0; j < dt; ++j)
                 acc[j] = 0.0f;
             for (size_t p = p0; p < p1; ++p) {
@@ -444,9 +586,9 @@ embeddingScatterAdd(const Tensor &grad_out, std::span<const uint32_t> rows,
 {
     checkEmbedding(grad_table.cols(), rows, offsets, inv, grad_out.rows(),
                    grad_out.cols(), width);
-    tiled::embeddingScatterAdd(grad_out.data().data(), grad_out.cols(), rows,
-                               offsets, inv, grad_table.data().data(),
-                               grad_table.cols(), width);
+    embeddingScatterAdd(grad_out.data().data(), grad_out.cols(), rows,
+                        offsets, inv, grad_table.data().data(),
+                        grad_table.cols(), width);
 }
 
 void
@@ -468,9 +610,9 @@ embeddingScatterAdd(const float *gd, size_t gw,
         size_t p0 = offsets[i], p1 = offsets[i + 1];
         if (p0 == p1)
             continue;
-        for (size_t d0 = 0; d0 < width; d0 += kColTile) {
-            size_t dt = std::min(kColTile, width - d0);
-            float tmp[kColTile];
+        for (size_t d0 = 0; d0 < width; d0 += kStrip) {
+            size_t dt = std::min(kStrip, width - d0);
+            float tmp[kStrip];
 #pragma omp simd
             for (size_t j = 0; j < dt; ++j)
                 tmp[j] = w * src[d0 + j];
@@ -484,253 +626,9 @@ embeddingScatterAdd(const float *gd, size_t gw,
     }
 }
 
-namespace {
-
-/** matmulTransAMasked over the output rows [k_begin, k_end) of C. */
-void
-matmulTransAMaskedRows(const Tensor &a, const Tensor &b, float *cd, size_t nc,
-                       size_t k_begin, size_t k_end, size_t n_act)
-{
-    size_t m = a.rows();
-    const float *ad = a.data().data();
-    const float *bd = b.data().data();
-    size_t ka = a.cols(), nb = b.cols();
-
-    // C[k, j] += sum_i A[i, k] * B[i, j]; block (k, j) output tiles and
-    // stream the batch dimension i through each tile, i ascending — the
-    // same per-element order as the reference kernel.
-    for (size_t k0 = k_begin; k0 < k_end; k0 += kRowTile) {
-        size_t kt = std::min(kRowTile, k_end - k0);
-        for (size_t j0 = 0; j0 < n_act; j0 += kColTile) {
-            size_t jt = std::min(kColTile, n_act - j0);
-            float acc[kRowTile][kColTile];
-            for (size_t r = 0; r < kt; ++r) {
-                const float *crow = cd + (k0 + r) * nc + j0;
-                for (size_t j = 0; j < jt; ++j)
-                    acc[r][j] = crow[j];
-            }
-            for (size_t i = 0; i < m; ++i) {
-                const float *arow = ad + i * ka + k0;
-                const float *brow = bd + i * nb + j0;
-                for (size_t r = 0; r < kt; ++r) {
-                    float av = arow[r];
-                    float *accr = acc[r];
-#pragma omp simd
-                    for (size_t j = 0; j < jt; ++j)
-                        accr[j] += av * brow[j];
-                }
-            }
-            for (size_t r = 0; r < kt; ++r) {
-                float *crow = cd + (k0 + r) * nc + j0;
-                for (size_t j = 0; j < jt; ++j)
-                    crow[j] = acc[r][j];
-            }
-        }
-    }
-}
-
-} // namespace
-
-void
-matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
-                   size_t n_act)
-{
-    checkMatmulTransAMasked(a, b, c.rows(), c.cols(), k_act, n_act);
-    tiled::matmulTransAMasked(a, b, c.data().data(), c.cols(), k_act, n_act);
-}
-
-void
-matmulTransAMasked(const Tensor &a, const Tensor &b, float *c, size_t ldc,
-                   size_t k_act, size_t n_act)
-{
-    checkMatmulTransAMasked(a, b, k_act, ldc, k_act, n_act);
-    common::parallelFor(k_act, kRowTile, a.rows() * k_act * n_act,
-                        [&](size_t k0, size_t k1) {
-                            matmulTransAMaskedRows(a, b, c, ldc, k0, k1,
-                                                   n_act);
-                        });
-}
-
-namespace {
-
-/** matmulTransBMasked over the rows [i_begin, i_end) of A and C. */
-void
-matmulTransBMaskedRows(const Tensor &a, const Tensor &b, Tensor &c,
-                       size_t i_begin, size_t i_end, size_t n_act,
-                       size_t k_act, bool accumulate)
-{
-    const float *ad = a.data().data();
-    const float *bd = b.data().data();
-    float *cd = c.data().data();
-    size_t na = a.cols(), nb = b.cols(), kc = c.cols();
-
-    // C[i, k] = dot(A row i, B row k): process kRowTile A-rows per pass so
-    // each B row is loaded once per pass, with independent simd
-    // reductions per dot product (fixed contraction order per element).
-    // Full tiles and remainder rows are separately vectorized
-    // reductions, so a range starts on a tile boundary: each row then
-    // runs the same code as in one serial pass.
-    for (size_t i0 = i_begin; i0 < i_end; i0 += kRowTile) {
-        size_t rt = std::min(kRowTile, i_end - i0);
-        if (rt == kRowTile) {
-            const float *a0 = ad + (i0 + 0) * na;
-            const float *a1 = ad + (i0 + 1) * na;
-            const float *a2 = ad + (i0 + 2) * na;
-            const float *a3 = ad + (i0 + 3) * na;
-            for (size_t k = 0; k < k_act; ++k) {
-                const float *brow = bd + k * nb;
-                float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-#pragma omp simd reduction(+ : s0, s1, s2, s3)
-                for (size_t j = 0; j < n_act; ++j) {
-                    float bv = brow[j];
-                    s0 += a0[j] * bv;
-                    s1 += a1[j] * bv;
-                    s2 += a2[j] * bv;
-                    s3 += a3[j] * bv;
-                }
-                float *col = cd + i0 * kc + k;
-                if (accumulate) {
-                    col[0 * kc] += s0;
-                    col[1 * kc] += s1;
-                    col[2 * kc] += s2;
-                    col[3 * kc] += s3;
-                } else {
-                    col[0 * kc] = s0;
-                    col[1 * kc] = s1;
-                    col[2 * kc] = s2;
-                    col[3 * kc] = s3;
-                }
-            }
-        } else {
-            for (size_t r = 0; r < rt; ++r) {
-                const float *arow = ad + (i0 + r) * na;
-                float *crow = cd + (i0 + r) * kc;
-                for (size_t k = 0; k < k_act; ++k) {
-                    const float *brow = bd + k * nb;
-                    float s = 0.0f;
-#pragma omp simd reduction(+ : s)
-                    for (size_t j = 0; j < n_act; ++j)
-                        s += arow[j] * brow[j];
-                    if (accumulate)
-                        crow[k] += s;
-                    else
-                        crow[k] = s;
-                }
-            }
-        }
-    }
-}
-
-} // namespace
-
-void
-matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t n_act,
-                   size_t k_act, bool accumulate)
-{
-    checkMatmulTransBMasked(a, b, c, n_act, k_act);
-    common::parallelFor(a.rows(), kRowTile, a.rows() * n_act * k_act,
-                        [&](size_t i0, size_t i1) {
-                            matmulTransBMaskedRows(a, b, c, i0, i1, n_act,
-                                                   k_act, accumulate);
-                        });
-}
-
-} // namespace tiled
-
 // ---------------------------------------------------------------------------
-// Dispatchers.
+// Elementwise helpers.
 // ---------------------------------------------------------------------------
-
-void
-matmulMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
-             size_t n_act, bool accumulate)
-{
-    if (kernelImpl() == KernelImpl::Tiled)
-        tiled::matmulMasked(a, b, c, k_act, n_act, accumulate);
-    else
-        reference::matmulMasked(a, b, c, k_act, n_act, accumulate);
-}
-
-void
-matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
-                   size_t n_act)
-{
-    if (kernelImpl() == KernelImpl::Tiled)
-        tiled::matmulTransAMasked(a, b, c, k_act, n_act);
-    else
-        reference::matmulTransAMasked(a, b, c, k_act, n_act);
-}
-
-void
-matmulTransAMasked(const Tensor &a, const Tensor &b, float *c, size_t ldc,
-                   size_t k_act, size_t n_act)
-{
-    if (kernelImpl() == KernelImpl::Tiled)
-        tiled::matmulTransAMasked(a, b, c, ldc, k_act, n_act);
-    else
-        reference::matmulTransAMasked(a, b, c, ldc, k_act, n_act);
-}
-
-void
-matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t n_act,
-                   size_t k_act, bool accumulate)
-{
-    if (kernelImpl() == KernelImpl::Tiled)
-        tiled::matmulTransBMasked(a, b, c, n_act, k_act, accumulate);
-    else
-        reference::matmulTransBMasked(a, b, c, n_act, k_act, accumulate);
-}
-
-void
-matmulMaskedGrouped(const Tensor &a, const Tensor &b, Tensor &c,
-                    std::span<const MaskGroup> groups, bool accumulate)
-{
-    if (kernelImpl() == KernelImpl::Tiled)
-        tiled::matmulMaskedGrouped(a, b, c, groups, accumulate);
-    else
-        reference::matmulMaskedGrouped(a, b, c, groups, accumulate);
-}
-
-void
-embeddingGatherPooled(const Tensor &table, std::span<const uint32_t> rows,
-                      std::span<const size_t> offsets,
-                      std::span<const float> inv, Tensor &out, size_t width)
-{
-    if (kernelImpl() == KernelImpl::Tiled)
-        tiled::embeddingGatherPooled(table, rows, offsets, inv, out, width);
-    else
-        reference::embeddingGatherPooled(table, rows, offsets, inv, out,
-                                         width);
-}
-
-void
-embeddingScatterAdd(const Tensor &grad_out, std::span<const uint32_t> rows,
-                    std::span<const size_t> offsets,
-                    std::span<const float> inv, Tensor &grad_table,
-                    size_t width)
-{
-    if (kernelImpl() == KernelImpl::Tiled)
-        tiled::embeddingScatterAdd(grad_out, rows, offsets, inv, grad_table,
-                                   width);
-    else
-        reference::embeddingScatterAdd(grad_out, rows, offsets, inv,
-                                       grad_table, width);
-}
-
-void
-embeddingScatterAdd(const float *grad_out, size_t ldo,
-                    std::span<const uint32_t> rows,
-                    std::span<const size_t> offsets,
-                    std::span<const float> inv, float *grad, size_t ldg,
-                    size_t width)
-{
-    if (kernelImpl() == KernelImpl::Tiled)
-        tiled::embeddingScatterAdd(grad_out, ldo, rows, offsets, inv, grad,
-                                   ldg, width);
-    else
-        reference::embeddingScatterAdd(grad_out, ldo, rows, offsets, inv,
-                                       grad, ldg, width);
-}
 
 void
 matmul(const Tensor &a, const Tensor &b, Tensor &c)

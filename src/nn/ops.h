@@ -6,23 +6,18 @@
  * of a larger shared weight matrix touches only the upper-left sub-matrix,
  * exactly as described for the DLRM super-network (Figure 3, mask (3)).
  *
- * Two implementations back every kernel:
+ * The three masked matmuls run a register-resident micro-kernel built
+ * once per ISA (baseline, AVX2, AVX-512F) and chosen once at run time
+ * (nn/matmul_kernel.h). Per output element every build runs the
+ * contraction in the reference kernel's order, one multiply then one
+ * add, so results are the same bits on every ISA, run-to-run, and at
+ * any `--threads` setting and core count, and they equal `reference::`
+ * bit for bit (which skips products of a zero A element; that can
+ * differ only in the sign of a zero sum or with non-finite inputs). The
+ * kernels split their output across CPUs (common::parallelFor) on tile
+ * boundaries; called from an exec::ThreadPool worker they run inline.
  *
- *  - `Tiled` (default): register-tiled, cache-blocked loops with
- *    `omp simd` vectorization hints. The blocking schedule is fixed at
- *    compile time and never depends on runtime state, so results are
- *    deterministic run-to-run and bit-identical at any `--threads`
- *    setting and core count. The three masked matmuls split their
- *    output rows across CPUs (common::parallelFor) only on row-tile
- *    boundaries, so a split never changes a value; called from an
- *    exec::ThreadPool worker they run inline.
- *  - `Reference`: the original scalar loops, kept for A/B testing and as
- *    the correctness oracle in `tests/test_nn_kernels.cc`.
- *
- * Select with setKernelImpl() or the H2O_KERNELS environment variable
- * ("tiled" / "reference", read once at startup). Tiled and reference
- * results agree to ~1e-5 relative (FP summation order differs), and each
- * implementation individually is exactly deterministic.
+ * `reference::` holds the original scalar loops, the test oracle.
  */
 
 #ifndef H2O_NN_OPS_H
@@ -31,30 +26,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 
 #include "nn/tensor.h"
 
 namespace h2o::nn {
-
-/** Kernel implementation selector. */
-enum class KernelImpl
-{
-    Tiled,     ///< register-tiled + vectorized (default)
-    Reference, ///< original scalar loops (A/B oracle)
-};
-
-/** Select the implementation used by the dispatching kernels below. */
-void setKernelImpl(KernelImpl impl);
-
-/** The currently selected implementation. */
-KernelImpl kernelImpl();
-
-/** Parse "tiled" / "reference"; fatal on unknown names. */
-KernelImpl kernelImplFromName(const std::string &name);
-
-/** Human-readable implementation name. */
-const char *kernelImplName(KernelImpl impl);
 
 /**
  * C[m,n] = (or +=) A[m,k] * B[k,n], restricted to the active sub-ranges
@@ -88,8 +63,8 @@ void matmulTransAMasked(const Tensor &a, const Tensor &b, float *c,
  * written.
  *
  * @param accumulate When false (default), the active region of C is
- *        overwritten — callers no longer need to pre-zero C. Pass true
- *        for the historical read-modify-write behavior.
+ *        overwritten — callers need not pre-zero C. When true, each
+ *        element's finished sum is added to C.
  */
 void matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c,
                         size_t n_act, size_t k_act,
@@ -132,8 +107,8 @@ void addBiasGrouped(Tensor &x, const Tensor &bias,
  * writing columns [0, width) of out; examples with an empty range get a
  * zero row. `rows` holds pre-hashed table row indices; `offsets` has
  * out.rows()+1 entries. Per element the adds run in id-list order from
- * a zero accumulator — both implementations share that order, so tiled
- * and reference results are bitwise identical here.
+ * a zero accumulator, as in reference::embeddingGatherPooled, so the
+ * two are bitwise identical.
  */
 void embeddingGatherPooled(const Tensor &table,
                            std::span<const uint32_t> rows,
@@ -144,8 +119,8 @@ void embeddingGatherPooled(const Tensor &table,
 /**
  * The matching scatter-add: grad_table[rows[p]][d] += inv[i] *
  * grad_out[i][d] for d < width, ids in list order. Bitwise identical
- * across implementations (the tiled path hoists the inv product per
- * example, which is value-identical).
+ * to the reference kernel (this one hoists the inv product per example,
+ * which is value-identical).
  */
 void embeddingScatterAdd(const Tensor &grad_out,
                          std::span<const uint32_t> rows,
@@ -171,10 +146,7 @@ void addBias(Tensor &x, const Tensor &bias, size_t n_act);
 /** axpy: y += alpha * x over whole storage. Sizes must match. */
 void axpy(float alpha, const Tensor &x, Tensor &y);
 
-/**
- * Reference (scalar) kernels, callable directly regardless of the
- * selected implementation — the A/B oracle for tests and benches.
- */
+/** Reference (scalar) kernels: the oracle for tests and benches. */
 namespace reference {
 
 void matmulMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
@@ -206,39 +178,6 @@ void embeddingScatterAdd(const float *grad_out, size_t ldo,
                          size_t ldg, size_t width);
 
 } // namespace reference
-
-/** Tiled kernels, callable directly (used by the A/B micro-benchmark). */
-namespace tiled {
-
-void matmulMasked(const Tensor &a, const Tensor &b, Tensor &c, size_t k_act,
-                  size_t n_act, bool accumulate = false);
-void matmulTransAMasked(const Tensor &a, const Tensor &b, Tensor &c,
-                        size_t k_act, size_t n_act);
-void matmulTransAMasked(const Tensor &a, const Tensor &b, float *c,
-                        size_t ldc, size_t k_act, size_t n_act);
-void matmulTransBMasked(const Tensor &a, const Tensor &b, Tensor &c,
-                        size_t n_act, size_t k_act,
-                        bool accumulate = false);
-void matmulMaskedGrouped(const Tensor &a, const Tensor &b, Tensor &c,
-                         std::span<const MaskGroup> groups,
-                         bool accumulate = false);
-void embeddingGatherPooled(const Tensor &table,
-                           std::span<const uint32_t> rows,
-                           std::span<const size_t> offsets,
-                           std::span<const float> inv, Tensor &out,
-                           size_t width);
-void embeddingScatterAdd(const Tensor &grad_out,
-                         std::span<const uint32_t> rows,
-                         std::span<const size_t> offsets,
-                         std::span<const float> inv, Tensor &grad_table,
-                         size_t width);
-void embeddingScatterAdd(const float *grad_out, size_t ldo,
-                         std::span<const uint32_t> rows,
-                         std::span<const size_t> offsets,
-                         std::span<const float> inv, float *grad,
-                         size_t ldg, size_t width);
-
-} // namespace tiled
 
 } // namespace h2o::nn
 

@@ -1,13 +1,15 @@
 /**
  * @file
- * A/B tests for the tiled matmul kernels against the reference scalar
- * kernels, plus the determinism contract: tiled results are bitwise
+ * A/B tests for the matmul kernels against the reference scalar
+ * kernels, plus the determinism contract: results are bitwise equal to
+ * the reference, the same bits on every ISA variant the host supports,
  * reproducible run-to-run, bit-identical across exec thread counts, and
  * bit-identical whether a kernel splits across CPUs or runs inline.
  */
 
-#include <cmath>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "exec/shard_runner.h"
 #include "exec/thread_pool.h"
 #include "nn/activation.h"
+#include "nn/matmul_kernel.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
 
@@ -38,18 +41,6 @@ randomTensor(size_t rows, size_t cols, common::Rng &rng,
     return t;
 }
 
-/** |tiled - ref| <= tol * max(1, |ref|), element-wise over the storage. */
-void
-expectClose(const nn::Tensor &tiled, const nn::Tensor &ref, double tol)
-{
-    ASSERT_EQ(tiled.size(), ref.size());
-    for (size_t i = 0; i < ref.size(); ++i) {
-        double r = ref[i];
-        double bound = tol * std::max(1.0, std::abs(r));
-        EXPECT_NEAR(tiled[i], r, bound) << "element " << i;
-    }
-}
-
 void
 expectBitIdentical(const nn::Tensor &a, const nn::Tensor &b)
 {
@@ -68,13 +59,16 @@ randomShapes(common::Rng &rng, size_t count)
 {
     std::vector<Shape> shapes;
     // Fixed corner cases: single element, sub-tile, exact tile multiples,
-    // and ragged remainders around the 4x64 blocking schedule.
+    // and ragged remainders around the 4-row tiles and the vector widths
+    // (4, 8 and 16 floats).
     shapes.push_back({1, 1, 1, 1, 1});
     shapes.push_back({3, 5, 7, 2, 4});
     shapes.push_back({4, 16, 64, 16, 64});
     shapes.push_back({8, 32, 128, 32, 128});
     shapes.push_back({5, 17, 65, 13, 33});
     shapes.push_back({9, 64, 192, 50, 130});
+    // A contraction wider than matmulTransBMasked's staging panel.
+    shapes.push_back({3, 5, 16400, 4, 16390});
     for (size_t i = 0; i < count; ++i) {
         size_t m = static_cast<size_t>(rng.uniformInt(1, 40));
         size_t k = static_cast<size_t>(rng.uniformInt(1, 96));
@@ -95,7 +89,7 @@ TEST(NnKernels, TiledMatmulMaskedMatchesReference)
     common::Rng rng(1234);
     for (const Shape &s : randomShapes(rng, 24)) {
         // Masked-weight sparsity exercises the reference kernel's
-        // zero-skip path against the tiled kernel's dense path.
+        // zero-skip path against the micro-kernel's dense path.
         nn::Tensor a = randomTensor(s.m, s.k, rng, 0.3);
         nn::Tensor b = randomTensor(s.k, s.n, rng, 0.3);
         for (bool accumulate : {false, true}) {
@@ -103,9 +97,8 @@ TEST(NnKernels, TiledMatmulMaskedMatchesReference)
             nn::Tensor c_tiled = c_ref; // same starting contents
             nn::reference::matmulMasked(a, b, c_ref, s.k_act, s.n_act,
                                         accumulate);
-            nn::tiled::matmulMasked(a, b, c_tiled, s.k_act, s.n_act,
-                                    accumulate);
-            expectClose(c_tiled, c_ref, 1e-5);
+            nn::matmulMasked(a, b, c_tiled, s.k_act, s.n_act, accumulate);
+            expectBitIdentical(c_tiled, c_ref);
         }
     }
 }
@@ -119,8 +112,8 @@ TEST(NnKernels, TiledMatmulTransAMaskedMatchesReference)
         nn::Tensor c_ref = randomTensor(s.k, s.n, rng);  // C[k,n] +=
         nn::Tensor c_tiled = c_ref;
         nn::reference::matmulTransAMasked(a, b, c_ref, s.k_act, s.n_act);
-        nn::tiled::matmulTransAMasked(a, b, c_tiled, s.k_act, s.n_act);
-        expectClose(c_tiled, c_ref, 1e-5);
+        nn::matmulTransAMasked(a, b, c_tiled, s.k_act, s.n_act);
+        expectBitIdentical(c_tiled, c_ref);
     }
 }
 
@@ -135,9 +128,74 @@ TEST(NnKernels, TiledMatmulTransBMaskedMatchesReference)
             nn::Tensor c_tiled = c_ref;
             nn::reference::matmulTransBMasked(a, b, c_ref, s.n_act,
                                               s.k_act, accumulate);
-            nn::tiled::matmulTransBMasked(a, b, c_tiled, s.n_act, s.k_act,
-                                          accumulate);
-            expectClose(c_tiled, c_ref, 1e-5);
+            nn::matmulTransBMasked(a, b, c_tiled, s.n_act, s.k_act,
+                                   accumulate);
+            expectBitIdentical(c_tiled, c_ref);
+        }
+    }
+}
+
+// The ISA contract: every micro-kernel build this host can run gives
+// the baseline build's bits, for all three masked matmuls and both
+// accumulate modes — on the random shapes, the perf model's layers and
+// its 128 -> 2 head, and the supernet's MLP shapes.
+TEST(NnKernels, EveryIsaVariantIsBitwiseEqual)
+{
+    const auto variants = nn::isa::supportedVariants();
+    ASSERT_FALSE(variants.empty());
+    EXPECT_STREQ(variants.front().name, "baseline");
+    EXPECT_EQ(&nn::isa::selectedVariant(), &variants.back());
+
+    common::Rng rng(6789);
+    std::vector<Shape> shapes = randomShapes(rng, 24);
+    const Shape fixed[] = {
+        {256, 87, 128, 87, 128},   // perf model layer 1
+        {256, 128, 128, 128, 128}, // perf model layer 2
+        {256, 128, 2, 128, 2},     // perf model head
+        {63, 87, 50, 87, 50},
+        {64, 100, 13, 100, 13},
+        {256, 512, 256, 512, 256}, // supernet bottom MLP (bench shape)
+        {64, 8, 64, 8, 64},        // flagship bottom MLP, batch 64
+        {64, 64, 32, 64, 32},
+        {64, 168, 128, 150, 96},   // a masked top-MLP layer
+        {64, 64, 1, 64, 1},        // logit
+    };
+    shapes.insert(shapes.end(), std::begin(fixed), std::end(fixed));
+
+    const nn::isa::Variant &base = variants.front();
+    for (const nn::isa::Variant &v : variants) {
+        SCOPED_TRACE(v.name);
+        for (const Shape &s : shapes) {
+            SCOPED_TRACE("m=" + std::to_string(s.m) + " k_act=" +
+                         std::to_string(s.k_act) + " n_act=" +
+                         std::to_string(s.n_act));
+            nn::Tensor a = randomTensor(s.m, s.k, rng, 0.1);
+            nn::Tensor b = randomTensor(s.k, s.n, rng);
+            nn::Tensor g = randomTensor(s.m, s.n, rng);
+            for (bool accumulate : {false, true}) {
+                nn::Tensor c0 = randomTensor(s.m, s.n, rng);
+                nn::Tensor c1 = c0;
+                nn::isa::matmulMasked(base, a, b, c0, s.k_act, s.n_act,
+                                      accumulate);
+                nn::isa::matmulMasked(v, a, b, c1, s.k_act, s.n_act,
+                                      accumulate);
+                expectBitIdentical(c1, c0);
+
+                nn::Tensor x0 = randomTensor(s.m, s.k, rng);
+                nn::Tensor x1 = x0;
+                nn::isa::matmulTransBMasked(base, g, b, x0, s.n_act,
+                                            s.k_act, accumulate);
+                nn::isa::matmulTransBMasked(v, g, b, x1, s.n_act, s.k_act,
+                                            accumulate);
+                expectBitIdentical(x1, x0);
+            }
+            nn::Tensor w0 = randomTensor(s.k, s.n, rng);
+            nn::Tensor w1 = w0;
+            nn::isa::matmulTransAMasked(base, a, g, w0.data().data(),
+                                        s.n, s.k_act, s.n_act);
+            nn::isa::matmulTransAMasked(v, a, g, w1.data().data(), s.n,
+                                        s.k_act, s.n_act);
+            expectBitIdentical(w1, w0);
         }
     }
 }
@@ -165,36 +223,9 @@ TEST(NnKernels, TiledIsBitwiseDeterministicRunToRun)
     nn::Tensor a = randomTensor(16, 48, rng);
     nn::Tensor b = randomTensor(48, 96, rng);
     nn::Tensor c1(16, 96), c2(16, 96);
-    nn::tiled::matmulMasked(a, b, c1, 48, 96);
-    nn::tiled::matmulMasked(a, b, c2, 48, 96);
+    nn::matmulMasked(a, b, c1, 48, 96);
+    nn::matmulMasked(a, b, c2, 48, 96);
     expectBitIdentical(c1, c2);
-}
-
-TEST(NnKernels, DispatcherSelectsImplementation)
-{
-    nn::KernelImpl before = nn::kernelImpl();
-    common::Rng rng(6789);
-    nn::Tensor a = randomTensor(4, 8, rng);
-    nn::Tensor b = randomTensor(8, 8, rng);
-
-    nn::setKernelImpl(nn::KernelImpl::Reference);
-    nn::Tensor c_ref(4, 8);
-    nn::matmulMasked(a, b, c_ref, 8, 8);
-    nn::Tensor c_oracle(4, 8);
-    nn::reference::matmulMasked(a, b, c_oracle, 8, 8);
-    expectBitIdentical(c_ref, c_oracle);
-
-    nn::setKernelImpl(nn::KernelImpl::Tiled);
-    nn::Tensor c_tiled(4, 8);
-    nn::matmulMasked(a, b, c_tiled, 8, 8);
-    nn::Tensor t_oracle(4, 8);
-    nn::tiled::matmulMasked(a, b, t_oracle, 8, 8);
-    expectBitIdentical(c_tiled, t_oracle);
-
-    nn::setKernelImpl(before);
-    EXPECT_EQ(nn::kernelImplFromName("tiled"), nn::KernelImpl::Tiled);
-    EXPECT_EQ(nn::kernelImplFromName("reference"),
-              nn::KernelImpl::Reference);
 }
 
 // The cross-thread contract: kernels called from pool workers run inline,
@@ -218,7 +249,7 @@ TEST(NnKernels, TiledBitIdenticalAcross1_2_8ExecThreads)
         auto report = runner.runStep(0, [&](size_t shard) {
             nn::Tensor &c = outs[shard];
             c = nn::Tensor(12, 72);
-            nn::tiled::matmulMasked(as[shard], bs[shard], c, 40, 72);
+            nn::matmulMasked(as[shard], bs[shard], c, 40, 72);
         });
         EXPECT_EQ(report.numOk(), kShards);
         // Shared-state aggregation in strict shard order, on the caller.
@@ -297,19 +328,19 @@ TEST(NnKernels, ParallelSplitBitIdenticalToInline)
         for (bool accumulate : {false, true}) {
             expectSplitMatchesInline(
                 randomTensor(c.m, c.nDim, rng), [&](nn::Tensor &out) {
-                    nn::tiled::matmulMasked(a, b, out, c.kAct, c.nAct,
-                                            accumulate);
+                    nn::matmulMasked(a, b, out, c.kAct, c.nAct,
+                                     accumulate);
                 });
             expectSplitMatchesInline(
                 randomTensor(c.m, c.kDim, rng), [&](nn::Tensor &out) {
-                    nn::tiled::matmulTransBMasked(g, bt, out, c.nAct,
-                                                  c.kAct, accumulate);
+                    nn::matmulTransBMasked(g, bt, out, c.nAct, c.kAct,
+                                           accumulate);
                 });
         }
         // C[k, j] += sum_i A[i, k] B[i, j] always accumulates.
         expectSplitMatchesInline(
             randomTensor(c.kDim, c.nDim, rng), [&](nn::Tensor &out) {
-                nn::tiled::matmulTransAMasked(a, g, out, c.kAct, c.nAct);
+                nn::matmulTransAMasked(a, g, out, c.kAct, c.nAct);
             });
     }
     if (common::parallelWidth() > 1) {
@@ -355,7 +386,8 @@ sliceGroup(const nn::Tensor &packed, const nn::MaskGroup &g)
 
 // The batched-quality-stage contract: one grouped call over a packed
 // [n_cand * batch, w] tensor is bitwise identical to per-candidate
-// masked calls on each candidate's own slice — per implementation.
+// masked calls on each candidate's own slice, for the library kernels
+// and the reference.
 TEST(NnKernels, GroupedMatmulMatchesPerCandidateBitwise)
 {
     common::Rng rng(8901);
@@ -365,10 +397,10 @@ TEST(NnKernels, GroupedMatmulMatchesPerCandidateBitwise)
     nn::Tensor b = randomTensor(kMaxK, kMaxN, rng, 0.3);
 
     for (int impl = 0; impl < 2; ++impl) {
-        auto grouped = impl == 0 ? nn::tiled::matmulMaskedGrouped
+        auto grouped = impl == 0 ? nn::matmulMaskedGrouped
                                  : nn::reference::matmulMaskedGrouped;
-        auto single = impl == 0 ? nn::tiled::matmulMasked
-                                : nn::reference::matmulMasked;
+        auto single =
+            impl == 0 ? nn::matmulMasked : nn::reference::matmulMasked;
         for (bool accumulate : {false, true}) {
             nn::Tensor c = randomTensor(kGroups * kBatch, kMaxN, rng);
             nn::Tensor c_grouped = c;
@@ -489,10 +521,10 @@ oracleScatter(const nn::Tensor &grad_out, const CsrIds &ids,
 
 } // namespace
 
-// Unlike the matmul family (where tiled reassociates accumulation), the
-// embedding kernels keep per-element adds in id-list order from a zero
-// accumulator in BOTH implementations — so tiled, reference, and the
-// scalar oracle all agree bitwise, at full and truncated widths.
+// The embedding kernels keep per-element adds in id-list order from a
+// zero accumulator, as the reference does — so the library kernel, the
+// reference and the scalar oracle all agree bitwise, at full and
+// truncated widths.
 TEST(NnKernels, EmbeddingGatherBitwiseAcrossImplsAndOracle)
 {
     common::Rng rng(2233);
@@ -505,8 +537,8 @@ TEST(NnKernels, EmbeddingGatherBitwiseAcrossImplsAndOracle)
             o_oracle(kBatch, width);
         nn::reference::embeddingGatherPooled(table, ids.rows, ids.offsets,
                                              ids.inv, o_ref, width);
-        nn::tiled::embeddingGatherPooled(table, ids.rows, ids.offsets,
-                                         ids.inv, o_tiled, width);
+        nn::embeddingGatherPooled(table, ids.rows, ids.offsets, ids.inv,
+                                  o_tiled, width);
         oracleGather(table, ids, o_oracle, width);
         expectBitIdentical(o_tiled, o_ref);
         expectBitIdentical(o_tiled, o_oracle);
@@ -526,8 +558,8 @@ TEST(NnKernels, EmbeddingScatterAddBitwiseAcrossImplsAndOracle)
         nn::Tensor g_ref = g0, g_tiled = g0, g_oracle = g0;
         nn::reference::embeddingScatterAdd(grad_out, ids.rows, ids.offsets,
                                            ids.inv, g_ref, width);
-        nn::tiled::embeddingScatterAdd(grad_out, ids.rows, ids.offsets,
-                                       ids.inv, g_tiled, width);
+        nn::embeddingScatterAdd(grad_out, ids.rows, ids.offsets, ids.inv,
+                                g_tiled, width);
         oracleScatter(grad_out, ids, g_oracle, width);
         expectBitIdentical(g_tiled, g_ref);
         expectBitIdentical(g_tiled, g_oracle);
@@ -544,7 +576,7 @@ TEST(NnKernels, EmbeddingGatherZeroesEmptyExamples)
     ids.offsets = {0, 0, 0, 0};
     ids.inv = {0.0f, 0.0f, 0.0f};
     for (auto gather : {nn::reference::embeddingGatherPooled,
-                        nn::tiled::embeddingGatherPooled}) {
+                        nn::embeddingGatherPooled}) {
         nn::Tensor out(3, 4);
         for (size_t i = 0; i < out.size(); ++i)
             out[i] = 1e30f;

@@ -19,7 +19,6 @@
 
 #include "common/rng.h"
 #include "exec/fault_injector.h"
-#include "nn/ops.h"
 #include "pipeline/pipeline.h"
 #include "reward/reward.h"
 #include "search/h2o_dlrm_search.h"
@@ -99,29 +98,21 @@ expectSameOutcome(const sr::SearchOutcome &a, const sr::SearchOutcome &b)
     EXPECT_EQ(a.finalEntropy, b.finalEntropy);
 }
 
-/** Restore the dispatching kernel implementation on scope exit. */
-struct KernelImplGuard
-{
-    nn::KernelImpl saved = nn::kernelImpl();
-    ~KernelImplGuard() { nn::setKernelImpl(saved); }
-};
-
 } // namespace
 
 // ------------------------------------------- supernet evaluateBatch
 
 /** evaluateBatch rows must be bitwise equal to sequential
- *  configure()+evaluate() calls, for duplicated samples, every chunk
- *  size, and both kernel implementations. Parameterized over seeds so
- *  the sampled candidates cover the space (widths, ranks, vocab
- *  choices, removed tables, bottom/top depths). */
+ *  configure()+evaluate() calls, for duplicated samples and every
+ *  chunk size. Parameterized over seeds so the sampled candidates
+ *  cover the space (widths, ranks, vocab choices, removed tables,
+ *  bottom/top depths). */
 class EvaluateBatchProperty : public testing::TestWithParam<int>
 {
 };
 
 TEST_P(EvaluateBatchProperty, MatchesSequentialBitwise)
 {
-    KernelImplGuard guard;
     DlrmFixture f;
     Rng srng(1000 + GetParam());
 
@@ -136,31 +127,24 @@ TEST_P(EvaluateBatchProperty, MatchesSequentialBitwise)
     auto lease = f.pipe->lease();
     const pl::Batch &batch = lease.batch();
 
-    for (nn::KernelImpl impl :
-         {nn::KernelImpl::Tiled, nn::KernelImpl::Reference}) {
-        nn::setKernelImpl(impl);
+    std::vector<sn::EvalResult> seq;
+    for (const auto &s : samples) {
+        f.net.configure(s);
+        seq.push_back(f.net.evaluate(batch));
+    }
 
-        std::vector<sn::EvalResult> seq;
-        for (const auto &s : samples) {
-            f.net.configure(s);
-            seq.push_back(f.net.evaluate(batch));
+    for (size_t chunk : {0u, 1u, 2u, 3u}) {
+        auto batched = f.net.evaluateBatch(samples, batch, chunk);
+        ASSERT_EQ(batched.size(), samples.size());
+        for (size_t i = 0; i < samples.size(); ++i) {
+            EXPECT_EQ(batched[i].logLoss, seq[i].logLoss)
+                << "chunk " << chunk << " sample " << i;
+            EXPECT_EQ(batched[i].auc, seq[i].auc)
+                << "chunk " << chunk << " sample " << i;
         }
-
-        for (size_t chunk : {0u, 1u, 2u, 3u}) {
-            auto batched = f.net.evaluateBatch(samples, batch, chunk);
-            ASSERT_EQ(batched.size(), samples.size());
-            for (size_t i = 0; i < samples.size(); ++i) {
-                EXPECT_EQ(batched[i].logLoss, seq[i].logLoss)
-                    << "impl " << nn::kernelImplName(impl) << " chunk "
-                    << chunk << " sample " << i;
-                EXPECT_EQ(batched[i].auc, seq[i].auc)
-                    << "impl " << nn::kernelImplName(impl) << " chunk "
-                    << chunk << " sample " << i;
-            }
-            const auto &stats = f.net.batchStats();
-            EXPECT_EQ(stats.candidates, samples.size());
-            EXPECT_EQ(stats.distinct, 6u); // duplicates deduplicated
-        }
+        const auto &stats = f.net.batchStats();
+        EXPECT_EQ(stats.candidates, samples.size());
+        EXPECT_EQ(stats.distinct, 6u); // duplicates deduplicated
     }
     lease.markAlphaUse();
 }

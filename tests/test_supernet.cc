@@ -311,82 +311,75 @@ reduceSamples(const ss::DlrmSearchSpace &space)
 // in ascending shard order from zero, w -= lr * sum. The data-parallel
 // step (4 lanes claiming shards dynamically, contexts shared across
 // shards) must reproduce it bit for bit — removed tables, the low-rank
-// path and duplicate candidates included — with either kernel family.
+// path and duplicate candidates included.
 TEST(Supernet, ShardGradientReduceMatchesSerialReference)
 {
-    const nn::KernelImpl saved = nn::kernelImpl();
-    for (nn::KernelImpl impl :
-         {nn::KernelImpl::Reference, nn::KernelImpl::Tiled}) {
-        SCOPED_TRACE(nn::kernelImplName(impl));
-        nn::setKernelImpl(impl);
-        Fixture ref(21), par(21);
-        const auto samples = reduceSamples(ref.space);
-        const size_t n = samples.size();
-        std::vector<pl::Batch> batches;
-        for (size_t i = 0; i < n; ++i)
-            batches.push_back(ref.traffic.nextBatch(24));
-        const double lr = 0.3;
+    Fixture ref(21), par(21);
+    const auto samples = reduceSamples(ref.space);
+    const size_t n = samples.size();
+    std::vector<pl::Batch> batches;
+    for (size_t i = 0; i < n; ++i)
+        batches.push_back(ref.traffic.nextBatch(24));
+    const double lr = 0.3;
 
-        std::vector<sn::SupernetPlan> plans;
-        for (const ss::Sample &sample : samples)
-            plans.push_back(ref.net.plan(sample));
+    std::vector<sn::SupernetPlan> plans;
+    for (const ss::Sample &sample : samples)
+        plans.push_back(ref.net.plan(sample));
 
-        // Serial reference: one fresh context per shard.
-        std::vector<sn::SupernetContext> ref_ctx(n);
-        sn::StepGradients ref_grads;
-        ref_grads.layout(ref.net, plans);
-        std::vector<double> ref_loss(n);
-        for (size_t i = 0; i < n; ++i)
-            ref_loss[i] = ref.net.accumulateGradients(
-                plans[i], batches[i], ref_ctx[i], ref_grads[i]);
-        std::vector<nn::Tensor> expected;
-        const float flr = static_cast<float>(lr);
-        for (size_t t = 0; t < ref.net.weights().size(); ++t) {
-            nn::Tensor w = *ref.net.weights()[t];
-            for (size_t r = 0; r < w.rows(); ++r) {
-                for (size_t c = 0; c < w.cols(); ++c) {
-                    float g = 0.0f;
-                    for (size_t i = 0; i < n; ++i)
-                        g += ref_grads[i].at(t, r, c);
-                    w[r * w.cols() + c] -= flr * g;
-                }
+    // Serial reference: one fresh context per shard.
+    std::vector<sn::SupernetContext> ref_ctx(n);
+    sn::StepGradients ref_grads;
+    ref_grads.layout(ref.net, plans);
+    std::vector<double> ref_loss(n);
+    for (size_t i = 0; i < n; ++i)
+        ref_loss[i] = ref.net.accumulateGradients(
+            plans[i], batches[i], ref_ctx[i], ref_grads[i]);
+    std::vector<nn::Tensor> expected;
+    const float flr = static_cast<float>(lr);
+    for (size_t t = 0; t < ref.net.weights().size(); ++t) {
+        nn::Tensor w = *ref.net.weights()[t];
+        for (size_t r = 0; r < w.rows(); ++r) {
+            for (size_t c = 0; c < w.cols(); ++c) {
+                float g = 0.0f;
+                for (size_t i = 0; i < n; ++i)
+                    g += ref_grads[i].at(t, r, c);
+                w[r * w.cols() + c] -= flr * g;
             }
-            expected.push_back(std::move(w));
         }
-
-        // The data-parallel step: reserved contexts shared by shards.
-        h2o::exec::ThreadPool pool(4);
-        h2o::exec::ShardRunner runner(pool, {n});
-        std::vector<sn::SupernetContext> ctx(runner.lanes());
-        for (auto &c : ctx)
-            par.net.reserve(c, 24);
-        sn::StepGradients grads;
-        grads.layout(par.net, plans);
-        std::vector<double> loss(n);
-        runner.forEach(n, [&](size_t i, size_t lane) {
-            loss[i] = par.net.accumulateGradients(plans[i], batches[i],
-                                                  ctx[lane], grads[i]);
-        });
-        for (size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(loss[i], ref_loss[i]) << "shard " << i;
-            for (size_t t = 0; t < par.net.weights().size(); t += 7)
-                EXPECT_EQ(grads[i].at(t, 0, 0), ref_grads[i].at(t, 0, 0));
-        }
-        par.net.applyGradients(grads.shards(), lr);
-        for (const auto &g : grads.shards())
-            EXPECT_TRUE(g.empty());
-
-        for (size_t t = 0; t < expected.size(); ++t) {
-            const auto &got = par.net.weights()[t]->data();
-            const auto &want = expected[t].data();
-            ASSERT_EQ(got.size(), want.size());
-            EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                                  got.size() * sizeof(float)),
-                      0)
-                << "tensor " << t;
-        }
+        expected.push_back(std::move(w));
     }
-    nn::setKernelImpl(saved);
+
+    // The data-parallel step: reserved contexts shared by shards.
+    h2o::exec::ThreadPool pool(4);
+    h2o::exec::ShardRunner runner(pool, {n});
+    std::vector<sn::SupernetContext> ctx(runner.lanes());
+    for (auto &c : ctx)
+        par.net.reserve(c, 24);
+    sn::StepGradients grads;
+    grads.layout(par.net, plans);
+    std::vector<double> loss(n);
+    runner.forEach(n, [&](size_t i, size_t lane) {
+        loss[i] = par.net.accumulateGradients(plans[i], batches[i],
+                                              ctx[lane], grads[i]);
+    });
+    for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(loss[i], ref_loss[i]) << "shard " << i;
+        for (size_t t = 0; t < par.net.weights().size(); t += 7)
+            EXPECT_EQ(grads[i].at(t, 0, 0), ref_grads[i].at(t, 0, 0));
+    }
+    par.net.applyGradients(grads.shards(), lr);
+    for (const auto &g : grads.shards())
+        EXPECT_TRUE(g.empty());
+
+    for (size_t t = 0; t < expected.size(); ++t) {
+        const auto &got = par.net.weights()[t]->data();
+        const auto &want = expected[t].data();
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << "tensor " << t;
+    }
 }
 
 // The gradient of a shard is the derivative of its loss: central
